@@ -35,8 +35,12 @@ struct Value {
   const Value* find(std::string_view key) const;
 };
 
+/// Deepest accepted nesting of arrays and objects.
+inline constexpr int kMaxDepth = 512;
+
 /// Parses one complete JSON document.  Throws std::runtime_error (with a
-/// byte offset) on malformed input or trailing garbage.
+/// byte offset) on malformed input, trailing garbage, or nesting deeper
+/// than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace ptask::obs::json

@@ -56,8 +56,10 @@ struct LayerSchedulerOptions {
   /// instead of a least-loaded linear scan (O(n g)); ties break towards
   /// the lowest group index exactly like the scan.
   bool heap_lpt = true;
-  /// Skip group-count candidates whose compute-only lower bound already
-  /// meets the incumbent layer time.
+  /// Skip group-count candidates whose lower bound (compute share, or the
+  /// per-task minimum over the candidate's two group sizes) already meets
+  /// the incumbent layer time, and stop a candidate's assignment once a
+  /// group load reaches it.
   bool prune_group_search = true;
   /// Schedule independent layers on up to this many threads (<= 1 runs
   /// serially; layers are independent and tie-breaking is per-layer, so

@@ -60,8 +60,15 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse, so nesting is bounded to keep hostile input
+        // (e.g. megabytes of '[') from exhausting the stack.
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::String;
@@ -248,6 +255,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;  ///< open containers around the current position
   std::size_t pos_ = 0;
 };
 

@@ -38,27 +38,60 @@ const cost::CostModel& pricing_model(const PassContext& ctx) {
 /// the layer (and across layers of one worker) so the candidate loop does
 /// no per-candidate allocation.
 struct LayerScratch {
-  std::vector<std::size_t> order;     ///< LPT order, carried across candidates
+  /// Shared time row of one group size: per-task symbolic times (entries of
+  /// tasks with orthogonal collectives stay 0 and are patched per
+  /// candidate), and whether every filled entry is finite and non-negative.
+  struct Row {
+    std::vector<double> time;
+    bool monotone = true;
+  };
+  /// Full-time lower bound of a candidate: max over tasks of
+  /// min(t(q_top), t(q_lo)), and whether all those times are monotone.
+  struct TimeBound {
+    double bound = 0.0;
+    bool monotone = true;
+  };
+
+  std::vector<std::size_t> order;     ///< LPT order: the sort history's state
+  std::vector<std::size_t> fresh;     ///< a candidate's order built anew
+  std::vector<std::size_t> plain;     ///< tasks without orthogonal collectives
+  std::vector<std::size_t> ortho;     ///< tasks with orthogonal collectives
+  std::vector<std::size_t> plain_order;  ///< `plain` sorted at plain_order_q
+  int plain_order_q = 0;
+  std::vector<std::size_t> ortho_order;  ///< `ortho` sorted for a candidate
+  std::vector<double> ortho_top;      ///< orthogonal-task times at q_top
+  std::vector<double> ortho_lo;       ///< orthogonal-task times at q_lo
+  std::vector<double> replay_ortho;   ///< ... at a replayed sort's q_top
   std::vector<double> time;           ///< patched times at the large size
   std::vector<double> time_lo;        ///< patched times at the small size
+  std::vector<double> replay_time;    ///< patched times of a replayed sort
   std::vector<double> accumulated;    ///< scan-mode group loads
   std::vector<int> task_group;        ///< candidate assignment
   std::vector<std::pair<double, int>> heap;  ///< (load, group) min-heap
-  /// Shared time rows: group size q -> per-task symbolic time.  Valid for
-  /// tasks without orthogonal collectives (their time is independent of
-  /// the candidate's group count), which is what lets the ~min(P, n)
-  /// candidate counts of a layer share only O(sqrt(P)) distinct rows.
-  std::unordered_map<int, std::vector<double>> rows;
-  std::vector<std::size_t> ortho;     ///< tasks with orthogonal collectives
+  /// Group size q -> shared row.  Valid for tasks without orthogonal
+  /// collectives (their time is independent of the candidate's group
+  /// count), which is what lets the ~min(P, n) candidate counts of a layer
+  /// share only O(sqrt(P)) distinct rows.
+  std::unordered_map<int, Row> rows;
   /// Compute-only pruning bounds per group size: (max, sum) over tasks of
   /// work / (min(q, max_cores) * flops).
   std::unordered_map<int, std::pair<double, double>> compute_bounds;
+  /// The rows' part of the full-time bound per (q_lo, q_top) pair, keyed
+  /// by 2 * q_lo + (q_top > q_lo).
+  std::unordered_map<int, TimeBound> time_bounds;
 };
 
 struct PruneStats {
   std::uint64_t pruned = 0;
   std::uint64_t evaluated = 0;
+  std::uint64_t aborted = 0;
 };
+
+/// Adding such a time to a group load can neither lower the load nor make
+/// it NaN -- what the full-time bound and the LPT abort rely on.
+bool monotone_time(double t) {
+  return t >= 0.0 && t <= std::numeric_limits<double>::max();
+}
 
 /// One layer of Algorithm 1: evaluate every candidate group count with an
 /// equal core split and the modified Sahni greedy assignment, keep the best.
@@ -66,17 +99,32 @@ struct PruneStats {
 /// Bit-identity contract: for any combination of the LayerSchedulerOptions
 /// performance knobs this computes the byte-identical ScheduledLayer of the
 /// historical monolith (tests/pipeline_test.cpp pins it against a verbatim
-/// copy).  The invariants that make that hold:
-///  * `order` is sorted for *every* candidate, pruned ones included --
-///    std::sort is unstable, so the carried order (and with it the
-///    placement of equal-time tasks in the winning candidate) depends on
-///    the full sort history;
+/// copy).  The monolith std::sorts one carried LPT order by each candidate's
+/// times in turn, and std::sort is unstable, so that history decides where
+/// equal-time tasks land.  The invariants that make the result identical:
+///  * a candidate's order is built only when it runs LPT.  When its keys
+///    are pairwise strictly ordered the descending order is unique, whatever
+///    the history, and is built directly: one sorted order of the tasks
+///    without orthogonal collectives per group size, merged with the
+///    orthogonal tasks sorted for the candidate.  When keys tie or are NaN,
+///    the exact std::sort chain is replayed in candidate order from the
+///    last order built, pruned candidates included;
 ///  * the heap pops the lowest-index minimum load, exactly the group
 ///    std::min_element scans to;
 ///  * memoized times are the same doubles the plain model computes;
-///  * pruning uses true lower bounds (compute share at the largest group
-///    size; the averaged bound is deflated by the worst-case summation
-///    error), so a pruned candidate can never have beaten the incumbent.
+///  * pruning uses true lower bounds, so a pruned candidate can never have
+///    beaten the incumbent: the compute share at the largest group size
+///    (the averaged bound is deflated by the worst-case summation error),
+///    and max over tasks of min(t(q_top), t(q_lo)), since every task lands
+///    in a group of one of the two sizes and a group load is a sum of
+///    non-negative times;
+///  * a candidate's LPT stops once a group load reaches the incumbent: a
+///    winner needs a strictly lower layer time, and a loser's assignment is
+///    thrown away.
+/// The full-time bound and the abort apply only when every time of the
+/// candidate is finite and non-negative, which keeps group loads monotone.
+/// The cost_cache=false path keeps the monolith's shape (every candidate
+/// sorted, compute-bound pruning only, complete LPT runs) as the reference.
 ScheduledLayer schedule_layer(const core::TaskGraph& graph,
                               const std::vector<core::TaskId>& tasks,
                               const std::vector<int>& candidates, int P,
@@ -91,119 +139,198 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
   std::iota(s.order.begin(), s.order.end(), 0);
   s.rows.clear();
   s.compute_bounds.clear();
+  s.time_bounds.clear();
+  s.plain.clear();
   s.ortho.clear();
+  s.plain_order_q = 0;
   const bool cached = opt.cost_cache;
   if (cached) {
     for (std::size_t i = 0; i < n; ++i) {
       if (cost::CachedCostModel::depends_on_num_groups(graph.task(tasks[i]))) {
         s.ortho.push_back(i);
+      } else {
+        s.plain.push_back(i);
       }
     }
   }
 
-  // Fills (once) the shared time row for group size q; entries of tasks
-  // with orthogonal collectives stay 0 and are patched per candidate.
-  // Row fills and patches call the base model non-virtually: the rows ARE
+  // Fills (once) the shared time row for group size q.  Row fills and
+  // orthogonal-task prices call the base model non-virtually: the rows ARE
   // the memo here, and routing millions of never-repeating (task, q, g)
   // keys through the shared CachedCostModel would be pure shard-lock and
   // hash-insert overhead.  The qualified call computes the exact same
   // doubles the cache would have stored.
-  const auto shared_row = [&](int q, int g) -> const std::vector<double>& {
+  const auto shared_row = [&](int q, int g) -> const LayerScratch::Row& {
     auto [it, inserted] = s.rows.try_emplace(q);
+    LayerScratch::Row& row = it->second;
     if (inserted) {
-      it->second.assign(n, 0.0);
-      std::size_t next_ortho = 0;  // s.ortho is ascending
-      for (std::size_t i = 0; i < n; ++i) {
-        if (next_ortho < s.ortho.size() && s.ortho[next_ortho] == i) {
-          ++next_ortho;
-          continue;
-        }
-        it->second[i] =
+      row.time.assign(n, 0.0);
+      for (const std::size_t i : s.plain) {
+        row.time[i] =
             cost.BaseModel::symbolic_task_time(graph.task(tasks[i]), q, g, P);
+        row.monotone = row.monotone && monotone_time(row.time[i]);
       }
     }
-    return it->second;
+    return row;
   };
-  // The layer's times at group size q under g groups; `into` receives the
-  // patched copy when the layer has orthogonal tasks.
+  const auto price_ortho = [&](int q, int g, std::vector<double>& into) {
+    into.resize(s.ortho.size());
+    for (std::size_t k = 0; k < s.ortho.size(); ++k) {
+      into[k] = cost.BaseModel::symbolic_task_time(
+          graph.task(tasks[s.ortho[k]]), q, g, P);
+    }
+  };
+  // The layer's times at group size q: the shared row, or its copy in
+  // `into` patched with the orthogonal tasks' times.
   const auto times_at = [&](int q, int g,
+                            const std::vector<double>& ortho_time,
                             std::vector<double>& into) -> const double* {
-    const std::vector<double>& row = shared_row(q, g);
+    const std::vector<double>& row = shared_row(q, g).time;
     if (s.ortho.empty()) return row.data();
     into = row;
-    for (const std::size_t i : s.ortho) {
-      into[i] =
-          cost.BaseModel::symbolic_task_time(graph.task(tasks[i]), q, g, P);
+    for (std::size_t k = 0; k < s.ortho.size(); ++k) {
+      into[s.ortho[k]] = ortho_time[k];
     }
     return into.data();
+  };
+  // The LPT comparator: longer time first.
+  const auto descending = [](const double* time) {
+    return [time](std::size_t a, std::size_t b) { return time[a] > time[b]; };
+  };
+  const auto sort_by = [&](const double* time) {
+    std::sort(s.order.begin(), s.order.end(), descending(time));
+  };
+  // Builds the descending order of a candidate's times at q_top into
+  // `fresh`; false when two keys tie or one is NaN, i.e. when that order
+  // is not unique.
+  const auto unique_order = [&](int q_top, const double* time) {
+    if (s.plain_order_q != q_top) {
+      s.plain_order = s.plain;
+      std::sort(s.plain_order.begin(), s.plain_order.end(), descending(time));
+      s.plain_order_q = q_top;
+    }
+    s.ortho_order = s.ortho;
+    std::sort(s.ortho_order.begin(), s.ortho_order.end(), descending(time));
+    s.fresh.resize(n);
+    std::merge(s.plain_order.begin(), s.plain_order.end(),
+               s.ortho_order.begin(), s.ortho_order.end(), s.fresh.begin(),
+               descending(time));
+    for (std::size_t k = 1; k < n; ++k) {
+      if (!(time[s.fresh[k - 1]] > time[s.fresh[k]])) return false;
+    }
+    return true;
+  };
+  const auto compute_bound = [&](int q_top, int g) {
+    auto [it, inserted] = s.compute_bounds.try_emplace(q_top);
+    if (inserted) {
+      double max_c = 0.0;
+      double sum_c = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double c =
+            cost.symbolic_compute_time(graph.task(tasks[i]), q_top);
+        max_c = std::max(max_c, c);
+        sum_c += c;
+      }
+      it->second = {max_c, sum_c};
+    }
+    // max_c lower-bounds the makespan exactly: every task's time is at
+    // least its compute share at the largest group size.  The averaged
+    // bound (total compute spread over g groups) is deflated by the
+    // worst-case summation error so rounding can never prune a candidate
+    // that would have won.
+    const double safety = 1.0 - 8.0 * static_cast<double>(n + 2) *
+                                    std::numeric_limits<double>::epsilon();
+    return std::max(it->second.first,
+                    it->second.second / static_cast<double>(g) * safety);
+  };
+  const auto time_bound = [&](int q_lo, int q_top, int g) {
+    auto [it, inserted] =
+        s.time_bounds.try_emplace(2 * q_lo + (q_top > q_lo ? 1 : 0));
+    if (inserted) {
+      const LayerScratch::Row& top = shared_row(q_top, g);
+      const LayerScratch::Row& lo = shared_row(q_lo, g);
+      double bound = 0.0;
+      for (const std::size_t i : s.plain) {
+        bound = std::max(bound, std::min(top.time[i], lo.time[i]));
+      }
+      it->second = {bound, top.monotone && lo.monotone};
+    }
+    LayerScratch::TimeBound result = it->second;
+    for (std::size_t k = 0; k < s.ortho.size(); ++k) {
+      result.monotone = result.monotone && monotone_time(s.ortho_top[k]) &&
+                        monotone_time(s.ortho_lo[k]);
+      result.bound =
+          std::max(result.bound, std::min(s.ortho_top[k], s.ortho_lo[k]));
+    }
+    return result;
   };
 
   double best_time = std::numeric_limits<double>::infinity();
   int best_g = 0;
+  std::size_t sorted = 0;  // leading candidates whose sorts `order` reflects
 
-  for (const int g : candidates) {
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const int g = candidates[c];
     const int q_lo = P / g;
     const int rem = P % g;
     const int q_top = rem > 0 ? q_lo + 1 : q_lo;  // == equal_group_sizes[0]
+    const bool bounded = opt.prune_group_search &&
+                         best_time < std::numeric_limits<double>::infinity();
 
-    // Times at the first (largest) group size drive the LPT sort.
+    // Times at the first (largest) group size drive the LPT order.
     const double* time_top = nullptr;
+    const double* time_lo = nullptr;
+    bool abortable = false;
     if (cached) {
-      time_top = times_at(q_top, g, s.time);
+      if (bounded && compute_bound(q_top, g) >= best_time) {
+        ++stats.pruned;
+        continue;
+      }
+      price_ortho(q_top, g, s.ortho_top);
+      if (rem > 0) {
+        price_ortho(q_lo, g, s.ortho_lo);
+      } else {
+        s.ortho_lo = s.ortho_top;
+      }
+      if (bounded) {
+        const LayerScratch::TimeBound bound = time_bound(q_lo, q_top, g);
+        if (bound.monotone && bound.bound >= best_time) {
+          ++stats.pruned;
+          continue;
+        }
+        abortable = bound.monotone;
+      }
+      time_top = times_at(q_top, g, s.ortho_top, s.time);
+      time_lo = rem > 0 ? times_at(q_lo, g, s.ortho_lo, s.time_lo) : time_top;
+      if (unique_order(q_top, time_top)) {
+        s.order.swap(s.fresh);
+      } else {
+        for (; sorted < c; ++sorted) {
+          const int g_k = candidates[sorted];
+          const int q_k = (P + g_k - 1) / g_k;  // that candidate's q_top
+          price_ortho(q_k, g_k, s.replay_ortho);
+          sort_by(times_at(q_k, g_k, s.replay_ortho, s.replay_time));
+        }
+        sort_by(time_top);
+      }
+      sorted = c + 1;
     } else {
       s.time.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         s.time[i] = cost.symbolic_task_time(graph.task(tasks[i]), q_top, g, P);
       }
       time_top = s.time.data();
-    }
-
-    // The sort runs for every candidate, pruned ones included: `order`
-    // carries across candidates (historical tie-break semantics), and
-    // skipping an unstable sort could permute equal-time tasks of a later
-    // winning candidate.
-    std::sort(s.order.begin(), s.order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return time_top[a] > time_top[b];
-              });
-
-    if (opt.prune_group_search &&
-        best_time < std::numeric_limits<double>::infinity()) {
-      auto [it, inserted] = s.compute_bounds.try_emplace(q_top);
-      if (inserted) {
-        double max_c = 0.0;
-        double sum_c = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double c =
-              cost.symbolic_compute_time(graph.task(tasks[i]), q_top);
-          max_c = std::max(max_c, c);
-          sum_c += c;
-        }
-        it->second = {max_c, sum_c};
-      }
-      // max_c lower-bounds the makespan exactly: every task's time is at
-      // least its compute share at the largest group size.  The averaged
-      // bound (total compute spread over g groups) is deflated by the
-      // worst-case summation error so rounding can never prune a candidate
-      // that would have won.
-      const double safety =
-          1.0 - 8.0 * static_cast<double>(n + 2) *
-                    std::numeric_limits<double>::epsilon();
-      const double lower_bound =
-          std::max(it->second.first,
-                   it->second.second / static_cast<double>(g) * safety);
-      if (lower_bound >= best_time) {
+      sort_by(time_top);
+      if (bounded && compute_bound(q_top, g) >= best_time) {
         ++stats.pruned;
         continue;
       }
     }
     ++stats.evaluated;
 
-    const double* time_lo = time_top;
-    if (cached && rem > 0) time_lo = times_at(q_lo, g, s.time_lo);
-
     s.task_group.assign(n, 0);
     double layer_time = 0.0;
+    bool aborted = false;
     if (opt.heap_lpt) {
       // Greedy assignment via a (load, group) min-heap: the heap minimum
       // under lexicographic pair order is the lowest-index minimum load --
@@ -222,6 +349,10 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
                                              q_lo + (gi < rem ? 1 : 0), g, P);
         load += t;
         s.task_group[i] = gi;
+        if (abortable && load >= best_time) {
+          aborted = true;
+          break;
+        }
         std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
       }
       for (const auto& [load, gi] : s.heap) {
@@ -242,9 +373,17 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
                                              q_lo + (gi < rem ? 1 : 0), g, P);
         s.accumulated[target] += t;
         s.task_group[i] = gi;
+        if (abortable && s.accumulated[target] >= best_time) {
+          aborted = true;
+          break;
+        }
       }
       layer_time =
           *std::max_element(s.accumulated.begin(), s.accumulated.end());
+    }
+    if (aborted) {
+      ++stats.aborted;
+      continue;
     }
 
     if (layer_time < best_time) {
@@ -369,6 +508,8 @@ void AssignLPT::run(PassContext& ctx) const {
       obs::metrics().counter("sched.prune.pruned");
   static obs::Counter& evaluated_counter =
       obs::metrics().counter("sched.prune.evaluated");
+  static obs::Counter& aborted_counter =
+      obs::metrics().counter("sched.prune.aborted");
 
   const core::TaskGraph& contracted = ctx.contraction.contracted;
   const int P = ctx.total_cores;
@@ -483,10 +624,12 @@ void AssignLPT::run(PassContext& ctx) const {
     for (const PruneStats& s : stats) {
       total.pruned += s.pruned;
       total.evaluated += s.evaluated;
+      total.aborted += s.aborted;
     }
   }
   pruned_counter.add(total.pruned);
   evaluated_counter.add(total.evaluated);
+  aborted_counter.add(total.aborted);
 
   ctx.layers_reused = 0;
   ctx.layers_scheduled = 0;

@@ -18,6 +18,10 @@ constexpr std::string_view kKindNames[] = {"bcast", "allgather", "allreduce",
                                            "barrier", "exchange"};
 constexpr std::string_view kScopeNames[] = {"global", "group", "orthogonal"};
 
+/// Largest symbolic core count a request may name, for the scheduler and
+/// for the machine alike (the machine's topology allocates per core).
+constexpr long long kMaxCores = 1 << 24;
+
 [[noreturn]] void bad_request(const std::string& message) {
   throw ProtocolError(kErrBadRequest, message);
 }
@@ -109,6 +113,13 @@ arch::MachineSpec parse_machine(const Value& value) {
       static_cast<int>(require_int(value, "procs_per_node", where, 1, 1 << 20));
   spec.cores_per_proc =
       static_cast<int>(require_int(value, "cores_per_proc", where, 1, 1 << 20));
+  // Multiplied in 64 bits: MachineSpec::total_cores() is an int product.
+  if (static_cast<long long>(spec.num_nodes) * spec.procs_per_node *
+          spec.cores_per_proc >
+      kMaxCores) {
+    bad_request("machine has more than " + std::to_string(kMaxCores) +
+                " cores");
+  }
   spec.core_flops = require_number(value, "core_flops", where);
   spec.core_efficiency = require_number(value, "core_efficiency", where);
   spec.omp_region_overhead_s =
@@ -414,7 +425,7 @@ ScheduleRequest parse_request(std::string_view payload) {
                         "unknown scheduler '" + request.scheduler + "'");
   }
   request.total_cores = static_cast<int>(
-      require_int(document, "total_cores", "request", 1, 1 << 24));
+      require_int(document, "total_cores", "request", 1, kMaxCores));
   request.machine =
       parse_machine(require(document, "machine", Value::Type::Object, "request"));
   request.graph =
@@ -500,7 +511,7 @@ SubmitRequest parse_submit(std::string_view payload) {
   require_type(document, "submit");
   SubmitRequest request;
   request.total_cores = static_cast<int>(
-      require_int(document, "total_cores", "request", 1, 1 << 24));
+      require_int(document, "total_cores", "request", 1, kMaxCores));
   request.machine = parse_machine(
       require(document, "machine", Value::Type::Object, "request"));
   request.graph =

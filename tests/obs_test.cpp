@@ -337,6 +337,18 @@ TEST(Json, ParsesDocumentWithEveryValueKind) {
   EXPECT_EQ(doc.find("missing"), nullptr);
 }
 
+TEST(Json, BoundsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json::parse(nested(json::kMaxDepth)).is_array());
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), std::runtime_error);
+  EXPECT_THROW(json::parse("{\"a\":" + nested(json::kMaxDepth) + "}"),
+               std::runtime_error);
+  EXPECT_THROW(json::parse(std::string(2u << 20, '[')), std::runtime_error);
+}
+
 TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("{"), std::runtime_error);
   EXPECT_THROW(json::parse("[1, 2,]"), std::runtime_error);

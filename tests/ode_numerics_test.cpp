@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "ptask/ode/bruss2d.hpp"
 #include "ptask/ode/diirk.hpp"
@@ -209,6 +210,10 @@ struct OrderCase {
   int expected_order;
   std::function<std::unique_ptr<OneStepSolver>()> make;
 };
+
+// Print a case by its name. The default printer dumps the raw bytes,
+// which include the address of `name` and so differ from run to run.
+void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
 
 class ConvergenceTest : public ::testing::TestWithParam<OrderCase> {};
 

@@ -393,8 +393,11 @@ TEST(PruneCounters, DeterministicPruneCountOnSequentialTasks) {
       Pipeline::algorithm1(cost).run_layered(graph, 16);
   EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 2u);
   EXPECT_EQ(obs::metrics().counter("sched.prune.pruned").value(), 6u);
+  // g=2 wins (loads 100 and 7 units against the incumbent's 107), so no
+  // LPT run stops early.
+  EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 0u);
 
-  // Same schedule as the exhaustive sweep.
+  // Same schedule as the exhaustive sweep, which never aborts.
   LayerSchedulerOptions exhaustive;
   exhaustive.prune_group_search = false;
   expect_identical(
@@ -402,6 +405,42 @@ TEST(PruneCounters, DeterministicPruneCountOnSequentialTasks) {
       "pruned vs exhaustive");
   EXPECT_EQ(obs::metrics().counter("sched.prune.pruned").value(), 6u);
   EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 10u);
+  EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 0u);
+}
+
+TEST(PruneCounters, DeterministicAbortCountOnEqualParallelTasks) {
+  // Eight equal, perfectly parallel tasks on 16 cores at 1 Gflop/s: a task
+  // takes 240 / q seconds, exact for every group size used.  g=1 sets the
+  // incumbent 8 * 15 = 120 s.  g=2..7 pass both bounds (compute share at
+  // most 80, averaged share at most 120 less the rounding allowance), and
+  // each LPT run stops as soon as one group's load reaches 120 (e.g. g=4:
+  // the fifth task lands on a group already holding 60).  g=8 (two cores,
+  // 120 s per task) is pruned.
+  core::TaskGraph graph = independent_tasks(std::vector<double>(8, 240.0e9));
+  arch::MachineSpec spec = arch::chic();
+  spec.num_nodes = 4;
+  spec.core_flops = 1.0e9;
+  spec.core_efficiency = 1.0;
+  const arch::Machine m(spec);
+  const cost::CostModel cost(m);
+
+  obs::metrics().reset();
+  const LayeredSchedule pruned =
+      Pipeline::algorithm1(cost).run_layered(graph, 16);
+  EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 7u);
+  EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 6u);
+  EXPECT_EQ(obs::metrics().counter("sched.prune.pruned").value(), 1u);
+  ASSERT_EQ(pruned.layers.size(), 1u);
+  EXPECT_EQ(pruned.layers[0].num_groups(), 1);
+  EXPECT_EQ(pruned.layers[0].predicted_time, 120.0);
+
+  LayerSchedulerOptions exhaustive;
+  exhaustive.prune_group_search = false;
+  expect_identical(
+      Pipeline::algorithm1(cost, exhaustive).run_layered(graph, 16), pruned,
+      "pruned vs exhaustive");
+  EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 15u);
+  EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 6u);
 }
 
 TEST(ObsCounters, PortfolioRunHitsTheSharedCostCache) {

@@ -137,6 +137,49 @@ TEST(ServeProtocol, RequestRoundTripsCanonically) {
   }
 }
 
+TEST(ServeProtocol, MachineCoreProductIsBoundedLikeTotalCores) {
+  // Each factor may be up to 2^20, but their product is capped at 2^24 (the
+  // total_cores limit) and computed in 64 bits, so no factor combination
+  // overflows MachineSpec::total_cores().
+  const auto with_shape = [](int nodes, int procs, int cores) {
+    ScheduleRequest request = tiny_request();
+    request.machine.num_nodes = nodes;
+    request.machine.procs_per_node = procs;
+    request.machine.cores_per_proc = cores;
+    return request;
+  };
+  const auto code_of = [](const std::string& payload) {
+    try {
+      (void)parse_request(payload);
+    } catch (const ProtocolError& e) {
+      return std::string(e.code());
+    }
+    return std::string("ok");
+  };
+  const ScheduleRequest at_limit = with_shape(1 << 10, 1 << 7, 1 << 7);
+  EXPECT_EQ(parse_request(serialize_request(at_limit)).machine.total_cores(),
+            1 << 24);
+  EXPECT_EQ(code_of(serialize_request(with_shape(1 << 20, 1 << 4, 1))), "ok");
+  EXPECT_EQ(code_of(serialize_request(with_shape((1 << 10) + 1, 1 << 7,
+                                                 1 << 7))),
+            kErrBadRequest);
+  EXPECT_EQ(code_of(serialize_request(with_shape(1 << 20, 1 << 20, 1 << 20))),
+            kErrBadRequest);
+  EXPECT_EQ(code_of(serialize_request(with_shape(1 << 20, 1 << 11, 1))),
+            kErrBadRequest);
+
+  SubmitRequest submit;
+  submit.total_cores = 8;
+  submit.machine = with_shape(1 << 20, 1 << 20, 1 << 20).machine;
+  submit.graph = tiny_request().graph;
+  try {
+    (void)parse_submit(serialize_submit(submit));
+    ADD_FAILURE() << "oversized machine accepted by parse_submit";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), kErrBadRequest);
+  }
+}
+
 TEST(ServeProtocol, RequestPreservesTaskContentExactly) {
   const ScheduleRequest request = tiny_request();
   const ScheduleRequest parsed = parse_request(serialize_request(request));
@@ -240,6 +283,24 @@ TEST_F(ServeTest, Pts001MalformedJson) {
   EXPECT_FALSE(response_ok(response));
   EXPECT_EQ(response_error_code(response), kErrMalformedJson);
   EXPECT_EQ(error_counter(kErrMalformedJson), before + 1);
+}
+
+TEST(ServeRobustness, Pts001DeeplyNestedFrameLeavesTheDaemonServing) {
+  // 2 MiB of '[' fits the default 4 MiB frame limit; an unbounded recursive
+  // parse of it overflows the worker's stack.
+  ServerOptions options;
+  options.num_workers = 2;
+  Server server(options);
+  server.start();
+  ASSERT_LT(2u << 20, options.max_request_bytes);
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  const std::uint64_t before = error_counter(kErrMalformedJson);
+  const std::string response = client.call(std::string(2u << 20, '['));
+  EXPECT_EQ(response_error_code(response), kErrMalformedJson);
+  EXPECT_EQ(error_counter(kErrMalformedJson), before + 1);
+  EXPECT_TRUE(response_ok(client.call("{\"type\":\"ping\"}")));
+  server.stop();
 }
 
 TEST_F(ServeTest, Pts001NegativeValidJsonIsNotMalformed) {
