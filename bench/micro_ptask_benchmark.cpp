@@ -27,8 +27,10 @@
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/rt/executor.hpp"
 #include "ptask/sched/cpa_scheduler.hpp"
+#include "ptask/sched/cpr_scheduler.hpp"
 #include "ptask/sched/incremental.hpp"
 #include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/moldable.hpp"
 #include "ptask/sched/portfolio.hpp"
 #include "ptask/sim/network_sim.hpp"
 
@@ -291,6 +293,40 @@ void BM_CpaScheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CpaScheduler)->Arg(64)->Arg(256);
+
+void BM_CprScheduler(benchmark::State& state) {
+  const int cores = static_cast<int>(state.range(0));
+  const arch::Machine m = machine(cores / 4);
+  const cost::CostModel cost(m);
+  const core::TaskGraph g = pabm_spec(8).step_graph();
+  const sched::CprScheduler scheduler(cost);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduler.schedule(g, cores));
+  }
+}
+BENCHMARK(BM_CprScheduler)->Arg(64)->Arg(256);
+
+/// One all-ones list schedule of a ~1.9k-task layered graph: single-core
+/// tasks finish at many distinct times, so hundreds of free-time blocks
+/// are alive at once.  The T(t, p) table is built outside the timed loop.
+void BM_ListScheduleLarge(benchmark::State& state) {
+  const int cores = static_cast<int>(state.range(0));
+  const arch::Machine m = machine(cores / 4);
+  const cost::CostModel cost(m);
+  fuzz::GeneratorParams params;
+  params.max_width = 128;
+  params.max_depth = 30;
+  params.edge_density = 0.02;
+  fuzz::Rng rng(fuzz::substream(0x115Dull, 0));
+  const core::TaskGraph g = fuzz::layered_graph(rng, params);
+  const sched::TaskTimeTable table(g, cost, cores);
+  const std::vector<int> ones(static_cast<std::size_t>(g.num_tasks()), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched::list_schedule(g, ones, table));
+  }
+  state.counters["tasks"] = static_cast<double>(g.num_tasks());
+}
+BENCHMARK(BM_ListScheduleLarge)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_PortfolioSchedule(benchmark::State& state) {
   const int cores = static_cast<int>(state.range(0));

@@ -21,11 +21,6 @@
 
 namespace ptask::sched {
 
-/// Deprecated: CPA/MCPA return the shared MoldableResult (moldable.hpp);
-/// prefer the canonical `Schedule` via the scheduler registry.  The alias
-/// keeps existing call sites compiling.
-using CpaResult = MoldableResult;
-
 class CpaScheduler {
  public:
   /// The default communication-aware cost mode lets the over-allocation

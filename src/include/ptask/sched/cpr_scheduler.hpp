@@ -20,11 +20,6 @@
 
 namespace ptask::sched {
 
-/// Deprecated: CPR returns the shared MoldableResult (moldable.hpp); prefer
-/// the canonical `Schedule` via the scheduler registry.  The alias keeps
-/// existing call sites compiling.
-using CprResult = MoldableResult;
-
 class CprScheduler {
  public:
   /// The default compute-only cost mode follows the near-linear speedup

@@ -4,6 +4,7 @@
 /// CPR, paper Section 4.3): a precomputed T(t, p) table and a bottom-level
 /// list scheduler that turns an allocation into a Gantt schedule.
 
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -52,22 +53,79 @@ class TaskTimeTable {
   std::vector<std::vector<double>> times_;  // [task][p-1]
 };
 
-/// List-schedules `graph` with the fixed per-task core counts `allocation`
-/// onto `P = table.total_cores()` symbolic cores.  Tasks are prioritized by
-/// decreasing bottom level; a ready task starts as soon as its allocation of
-/// cores is free (the cores that become available earliest are picked, with
-/// ties broken towards the cores of the task's predecessors).
+/// Bottom-level list scheduling of one graph under one T(t, p) table,
+/// as a workspace that is built once and reused across allocations (CPR
+/// list-schedules the same graph hundreds of times per request).
 ///
-/// `abort_above` is a search-pruning cutoff for iterative callers (CPR): the
-/// partial makespan only ever grows as tasks are placed, so once it exceeds
-/// the cutoff the final makespan is guaranteed to as well and the caller
-/// will reject the trial whatever the rest looks like.  When the cutoff
-/// trips, the returned schedule is *partial* -- its makespan already
-/// exceeds `abort_above`, which is all a reject decision needs -- so pass
-/// the default (+inf) whenever the schedule itself is wanted.
-GanttSchedule list_schedule(
-    const core::TaskGraph& graph, std::span<const int> allocation,
-    const TaskTimeTable& table,
-    double abort_above = std::numeric_limits<double>::infinity());
+/// Tasks are prioritized by decreasing bottom level (the first ready task
+/// wins a tie); a ready task starts as soon as its allocation of cores is
+/// free.  The cores that become free earliest are picked, ties broken
+/// towards the cores of the task's predecessors (data affinity keeps chains
+/// on one set of cores), then towards lower core indices.
+///
+/// The free cores are kept as blocks of equal free time in ascending order;
+/// each block is a core bitset with a core count and the range of words
+/// that can hold set bits, so a placement costs O(blocks + words touched)
+/// instead of O(P).  The topological order and every scratch buffer are
+/// kept between calls.
+class ListScheduler {
+ public:
+  /// `graph` and `table` must outlive the workspace.  Throws
+  /// std::logic_error when the graph has a cycle.
+  ListScheduler(const core::TaskGraph& graph, const TaskTimeTable& table);
+
+  /// The makespan of list-scheduling `allocation` (cores per task).  The
+  /// makespan only grows as tasks are placed, so once it exceeds
+  /// `abort_above` the rest is skipped and that partial makespan returned:
+  /// it already exceeds the cutoff, which is all a reject decision needs.
+  double makespan(std::span<const int> allocation,
+                  double abort_above = std::numeric_limits<double>::infinity());
+
+  /// The full Gantt view of list-scheduling `allocation`.
+  GanttSchedule schedule(std::span<const int> allocation);
+
+ private:
+  struct Block {
+    double free;  ///< free time shared by every core of the block
+    int count;    ///< cores in the block
+    int lo, hi;   ///< words [lo, hi) of the bitset can hold set bits
+    int slot;     ///< bitset index in pool_
+  };
+
+  std::uint64_t* block_bits(const Block& block) {
+    return pool_.data() + static_cast<std::size_t>(block.slot) * words_;
+  }
+  std::uint64_t* task_bits(core::TaskId id) {
+    return task_bits_.data() + static_cast<std::size_t>(id) * words_;
+  }
+  int take_slot();
+  void place(core::TaskId id, int p, double start, double finish);
+
+  const core::TaskGraph* graph_;
+  const TaskTimeTable* table_;
+  int P_;
+  std::size_t words_;
+  std::vector<core::TaskId> order_;  // topological order
+
+  // Per-call task state.
+  std::vector<double> task_time_, bottom_, ready_time_, start_, finish_;
+  std::vector<int> remaining_preds_;
+  std::vector<core::TaskId> ready_;
+  std::vector<std::uint64_t> task_bits_;  // [task][word]: the task's cores
+  std::vector<int> task_lo_, task_hi_;    // its words that can hold set bits
+
+  // Free cores.  Bitsets live in pool_ slots, so reordering blocks moves
+  // only the small Block entries; a free slot is all zero.
+  std::vector<Block> blocks_;  // ascending free time
+  std::vector<std::uint64_t> pool_;
+  std::vector<int> free_slots_;
+  std::vector<std::uint64_t> pred_;  // predecessor cores of the current task
+};
+
+/// List-schedules `graph` with the fixed per-task core counts `allocation`
+/// onto `P = table.total_cores()` symbolic cores (see ListScheduler).
+GanttSchedule list_schedule(const core::TaskGraph& graph,
+                            std::span<const int> allocation,
+                            const TaskTimeTable& table);
 
 }  // namespace ptask::sched

@@ -1,21 +1,28 @@
 #include "ptask/sched/cpr_scheduler.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <cstdint>
 
 #include "ptask/core/graph_algorithms.hpp"
+#include "ptask/obs/metrics.hpp"
 
 namespace ptask::sched {
 
 MoldableResult CprScheduler::schedule(const core::TaskGraph& graph,
-                                 int total_cores) const {
+                                      int total_cores) const {
+  static obs::Counter& trials_counter =
+      obs::metrics().counter("sched.cpr.trials");
+  static obs::Counter& accepted_counter =
+      obs::metrics().counter("sched.cpr.accepted");
+
   const int n = graph.num_tasks();
   const int P = total_cores;
   const TaskTimeTable table(graph, *cost_, P, mode_);
+  ListScheduler list(graph, table);
 
   MoldableResult result;
   result.allocation.assign(static_cast<std::size_t>(n), 1);
-  result.schedule = list_schedule(graph, result.allocation, table);
+  double makespan = list.makespan(result.allocation);
 
   auto total_task_time = [&] {
     double total = 0.0;
@@ -27,6 +34,8 @@ MoldableResult CprScheduler::schedule(const core::TaskGraph& graph,
 
   std::vector<double> task_time(static_cast<std::size_t>(n));
   constexpr double kEps = 1e-15;
+  std::uint64_t trials = 0;
+  std::uint64_t accepted = 0;
   bool improved = true;
   while (improved) {
     improved = false;
@@ -48,30 +57,34 @@ MoldableResult CprScheduler::schedule(const core::TaskGraph& graph,
       const int p = result.allocation[static_cast<std::size_t>(id)];
       if (p >= P || p >= graph.task(id).max_cores()) continue;
       result.allocation[static_cast<std::size_t>(id)] = p + 1;
+      ++trials;
       // Cutoff prunes doomed trials: once the partial makespan exceeds
       // current + kEps neither the strict-improvement nor the tie branch
-      // below can accept, so list_schedule stops placing tasks early.  The
-      // decision is exactly the one the full schedule would produce (the
-      // makespan only grows as tasks are placed).
-      GanttSchedule trial = list_schedule(
-          graph, result.allocation, table, result.schedule.makespan + kEps);
+      // below can accept.  An accepted trial therefore never stops early.
+      const double trial = list.makespan(result.allocation, makespan + kEps);
       // Accept strict makespan improvements; on an exact tie, accept if the
       // sum of the task times shrank (this is what lets CPR make progress
       // through the plateau of a layer of equal independent tasks, where
       // widening any single task cannot move the makespan until all of them
       // widened).
-      bool accept = trial.makespan < result.schedule.makespan - kEps;
-      if (!accept && trial.makespan <= result.schedule.makespan + kEps) {
+      bool accept = trial < makespan - kEps;
+      if (!accept && trial <= makespan + kEps) {
         accept = total_task_time() < sum_before - kEps;
       }
       if (accept) {
-        result.schedule = std::move(trial);
+        makespan = trial;
+        ++accepted;
         improved = true;
         break;  // recompute the critical path with the new allocation
       }
       result.allocation[static_cast<std::size_t>(id)] = p;  // revert
     }
   }
+  // The list scheduler is deterministic, so this is the schedule of the
+  // last accepted trial.
+  result.schedule = list.schedule(result.allocation);
+  trials_counter.add(trials);
+  accepted_counter.add(accepted);
   return result;
 }
 

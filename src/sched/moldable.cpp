@@ -1,8 +1,9 @@
 #include "ptask/sched/moldable.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <stdexcept>
-#include <utility>
 
 #include "ptask/core/graph_algorithms.hpp"
 
@@ -40,154 +41,245 @@ double TaskTimeTable::time(core::TaskId id, int p) const {
   return times_.at(static_cast<std::size_t>(id))[static_cast<std::size_t>(p - 1)];
 }
 
-GanttSchedule list_schedule(const core::TaskGraph& graph,
-                            std::span<const int> allocation,
-                            const TaskTimeTable& table, double abort_above) {
+namespace {
+
+constexpr int kWordBits = 64;
+
+/// The lowest `n` set bits of `m` (all of them when it has at most `n`).
+std::uint64_t lowest_bits(std::uint64_t m, int n) {
+  if (std::popcount(m) <= n) return m;
+  std::uint64_t taken = 0;
+  for (; n > 0; --n) {
+    taken |= m & (~m + 1);
+    m &= m - 1;
+  }
+  return taken;
+}
+
+}  // namespace
+
+ListScheduler::ListScheduler(const core::TaskGraph& graph,
+                             const TaskTimeTable& table)
+    : graph_(&graph),
+      table_(&table),
+      P_(table.total_cores()),
+      words_(static_cast<std::size_t>((P_ + kWordBits - 1) / kWordBits)),
+      order_(graph.topological_order()) {
+  const std::size_t n = static_cast<std::size_t>(graph.num_tasks());
+  task_time_.resize(n);
+  bottom_.resize(n);
+  ready_time_.resize(n);
+  start_.resize(n);
+  finish_.resize(n);
+  remaining_preds_.resize(n);
+  task_bits_.assign(n * words_, 0);
+  task_lo_.assign(n, 0);
+  task_hi_.assign(n, 0);
+  pred_.assign(words_, 0);
+}
+
+int ListScheduler::take_slot() {
+  if (free_slots_.empty()) {
+    const int slot = static_cast<int>(pool_.size() / words_);
+    pool_.resize(pool_.size() + words_, 0);
+    return slot;
+  }
+  const int slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+GanttSchedule ListScheduler::schedule(std::span<const int> allocation) {
+  GanttSchedule gantt;
+  gantt.total_cores = P_;
+  gantt.makespan = makespan(allocation);
+  gantt.slots.resize(static_cast<std::size_t>(graph_->num_tasks()));
+  for (core::TaskId id = 0; id < graph_->num_tasks(); ++id) {
+    const std::size_t i = static_cast<std::size_t>(id);
+    TaskSlot& slot = gantt.slots[i];
+    slot.cores.reserve(static_cast<std::size_t>(allocation[i]));
+    const std::uint64_t* bits = task_bits(id);
+    for (int w = task_lo_[i]; w < task_hi_[i]; ++w) {
+      for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
+        slot.cores.push_back(w * kWordBits + std::countr_zero(m));
+      }
+    }
+    slot.start = start_[i];
+    slot.finish = finish_[i];
+  }
+  return gantt;
+}
+
+double ListScheduler::makespan(std::span<const int> allocation,
+                               double abort_above) {
+  const core::TaskGraph& graph = *graph_;
   const int n = graph.num_tasks();
-  const int P = table.total_cores();
   if (static_cast<int>(allocation.size()) != n) {
     throw std::invalid_argument("one allocation entry per task required");
   }
-
-  std::vector<double> task_time(static_cast<std::size_t>(n));
   for (core::TaskId id = 0; id < n; ++id) {
-    task_time[static_cast<std::size_t>(id)] =
-        table.time(id, allocation[static_cast<std::size_t>(id)]);
+    task_time_[static_cast<std::size_t>(id)] =
+        table_->time(id, allocation[static_cast<std::size_t>(id)]);
   }
-  const core::CriticalPathInfo cp = core::critical_path(graph, task_time);
-
-  // Ready tasks ordered by decreasing bottom level.
-  std::vector<int> remaining_preds(static_cast<std::size_t>(n));
-  std::vector<double> ready_time(static_cast<std::size_t>(n), 0.0);
-  std::vector<core::TaskId> ready;
-  for (core::TaskId id = 0; id < n; ++id) {
-    remaining_preds[static_cast<std::size_t>(id)] = graph.in_degree(id);
-    if (remaining_preds[static_cast<std::size_t>(id)] == 0) {
-      ready.push_back(id);
+  // Bottom levels, as core::critical_path computes them.
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    double below = 0.0;
+    for (core::TaskId s : graph.successors(*it)) {
+      below = std::max(below, bottom_[static_cast<std::size_t>(s)]);
     }
+    bottom_[static_cast<std::size_t>(*it)] =
+        below + task_time_[static_cast<std::size_t>(*it)];
+  }
+  ready_.clear();
+  for (core::TaskId id = 0; id < n; ++id) {
+    remaining_preds_[static_cast<std::size_t>(id)] = graph.in_degree(id);
+    ready_time_[static_cast<std::size_t>(id)] = 0.0;
+    if (graph.in_degree(id) == 0) ready_.push_back(id);
   }
 
-  std::vector<double> core_free(static_cast<std::size_t>(P), 0.0);
-  // All cores in (free time, index) order -- the order a stable sort of
-  // 0..P-1 by free time yields.  Kept incrementally as a flat sorted
-  // vector: a placement gives all of its p cores the same new free time
-  // (the task's finish), so one compaction pass plus one block insert at
-  // the lower bound restores the order in O(P) with no allocations.  CPR
-  // runs this scheduler once per trial widening, which is where the
-  // difference to re-sorting every core for every task shows.
-  std::vector<std::pair<double, int>> free_order(static_cast<std::size_t>(P));
-  for (int c = 0; c < P; ++c) {
-    free_order[static_cast<std::size_t>(c)] = {0.0, c};
+  // Every core free at time 0: one full block.
+  for (const Block& block : blocks_) {
+    std::fill(block_bits(block) + block.lo, block_bits(block) + block.hi, 0);
+    free_slots_.push_back(block.slot);
   }
-  std::vector<char> pred_core(static_cast<std::size_t>(P), 0);
-  std::vector<char> chosen_core(static_cast<std::size_t>(P), 0);
-  std::vector<int> pred_list;
+  blocks_.clear();
+  const Block all{0.0, P_, 0, static_cast<int>(words_), take_slot()};
+  std::uint64_t* all_bits = block_bits(all);
+  std::fill(all_bits, all_bits + words_, ~std::uint64_t{0});
+  if (P_ % kWordBits != 0) {
+    all_bits[words_ - 1] = (std::uint64_t{1} << (P_ % kWordBits)) - 1;
+  }
+  blocks_.push_back(all);
 
-  GanttSchedule gantt;
-  gantt.total_cores = P;
-  gantt.slots.resize(static_cast<std::size_t>(n));
-
-  int scheduled = 0;
-  while (!ready.empty()) {
+  double makespan = 0.0;
+  while (!ready_.empty()) {
     // Pick the ready task with the largest bottom level.
     const auto it = std::max_element(
-        ready.begin(), ready.end(), [&](core::TaskId a, core::TaskId b) {
-          return cp.bottom_level[static_cast<std::size_t>(a)] <
-                 cp.bottom_level[static_cast<std::size_t>(b)];
+        ready_.begin(), ready_.end(), [&](core::TaskId a, core::TaskId b) {
+          return bottom_[static_cast<std::size_t>(a)] <
+                 bottom_[static_cast<std::size_t>(b)];
         });
     const core::TaskId id = *it;
-    ready.erase(it);
+    ready_.erase(it);
+    const std::size_t i = static_cast<std::size_t>(id);
 
-    const int p = allocation[static_cast<std::size_t>(id)];
-    if (p < 1 || p > P) throw std::invalid_argument("allocation out of range");
-
-    // Cores that become free earliest; among equally free cores, prefer the
-    // cores of the task's predecessors (data affinity keeps chains on one
-    // set of cores and avoids spurious re-distributions).
-    pred_list.clear();
-    for (core::TaskId pr : graph.predecessors(id)) {
-      for (int c : gantt.slots[static_cast<std::size_t>(pr)].cores) {
-        if (pred_core[static_cast<std::size_t>(c)] == 0) {
-          pred_core[static_cast<std::size_t>(c)] = 1;
-          pred_list.push_back(c);
-        }
+    // The start time is fixed by the p-th earliest-free core.
+    const int p = allocation[i];
+    double kth_free = 0.0;
+    int seen = 0;
+    for (const Block& block : blocks_) {
+      seen += block.count;
+      if (seen >= p) {
+        kth_free = block.free;
+        break;
       }
     }
-    // The start time is fixed by the p-th earliest-free core; any core free
-    // by then is an equally good pick, so among those the predecessor cores
-    // win (affinity costs nothing and avoids re-distribution).  The chosen
-    // set is therefore: predecessor cores free by `start` first (in free
-    // time order), then the other earliest-free cores -- at least p cores
-    // are free by `start` by construction.
-    double start = std::max(ready_time[static_cast<std::size_t>(id)],
-                            free_order[static_cast<std::size_t>(p - 1)].first);
-    TaskSlot& slot = gantt.slots[static_cast<std::size_t>(id)];
-    slot.cores.clear();
-    // The sorted prefix with free <= start holds every eligible core (at
-    // least p of them, since the p-th earliest-free core bounds `start`);
-    // walking it visits cores in (free time, index) order, so taking the
-    // predecessor cores first and backfilling with the rest reproduces the
-    // affinity tie-break exactly.
-    for (std::size_t i = 0; i < free_order.size() &&
-                            static_cast<int>(slot.cores.size()) < p;
-         ++i) {
-      if (free_order[i].first > start) break;
-      if (pred_core[static_cast<std::size_t>(free_order[i].second)] != 0) {
-        slot.cores.push_back(free_order[i].second);
-      }
-    }
-    for (std::size_t i = 0; static_cast<int>(slot.cores.size()) < p; ++i) {
-      if (pred_core[static_cast<std::size_t>(free_order[i].second)] == 0) {
-        slot.cores.push_back(free_order[i].second);
-      }
-    }
-    for (const int c : pred_list) pred_core[static_cast<std::size_t>(c)] = 0;
-    std::sort(slot.cores.begin(), slot.cores.end());
-    for (int c : slot.cores) {
-      start = std::max(start, core_free[static_cast<std::size_t>(c)]);
-    }
-    slot.start = start;
-    slot.finish = start + task_time[static_cast<std::size_t>(id)];
-    // Restore the free order: drop the chosen cores, then merge them back
-    // in from the rear -- they all share the finish time and come with
-    // ascending indices, so they already form a sorted run.
-    for (int c : slot.cores) {
-      chosen_core[static_cast<std::size_t>(c)] = 1;
-      core_free[static_cast<std::size_t>(c)] = slot.finish;
-    }
-    auto kept_end = std::remove_if(
-        free_order.begin(), free_order.end(), [&](const auto& entry) {
-          return chosen_core[static_cast<std::size_t>(entry.second)] != 0;
-        });
-    auto dst = free_order.end();
-    for (std::size_t b = slot.cores.size(); b > 0;) {
-      const std::pair<double, int> entry{
-          slot.finish, slot.cores[static_cast<std::size_t>(b - 1)]};
-      if (kept_end != free_order.begin() && *(kept_end - 1) > entry) {
-        *--dst = *(--kept_end);
-      } else {
-        *--dst = entry;
-        --b;
-      }
-    }
-    for (int c : slot.cores) chosen_core[static_cast<std::size_t>(c)] = 0;
-    gantt.makespan = std::max(gantt.makespan, slot.finish);
-    ++scheduled;
-    // Prune-cutoff for trial-and-reject callers: the makespan is monotone
-    // in the placements, so exceeding the cutoff now decides the trial.
-    // The returned schedule is partial; only its makespan is meaningful.
-    if (gantt.makespan > abort_above) return gantt;
+    start_[i] = std::max(ready_time_[i], kth_free);
+    finish_[i] = start_[i] + task_time_[i];
+    place(id, p, start_[i], finish_[i]);
+    makespan = std::max(makespan, finish_[i]);
+    if (makespan > abort_above) return makespan;
 
     for (core::TaskId s : graph.successors(id)) {
-      ready_time[static_cast<std::size_t>(s)] =
-          std::max(ready_time[static_cast<std::size_t>(s)], slot.finish);
-      if (--remaining_preds[static_cast<std::size_t>(s)] == 0) {
-        ready.push_back(s);
+      ready_time_[static_cast<std::size_t>(s)] =
+          std::max(ready_time_[static_cast<std::size_t>(s)], finish_[i]);
+      if (--remaining_preds_[static_cast<std::size_t>(s)] == 0) {
+        ready_.push_back(s);
       }
     }
   }
-  if (scheduled != n) throw std::logic_error("graph contains a cycle");
-  return gantt;
+  return makespan;
+}
+
+void ListScheduler::place(core::TaskId id, int p, double start,
+                          double finish) {
+  const std::size_t i = static_cast<std::size_t>(id);
+  // Predecessor cores, and the words that can hold them.
+  int pred_lo = static_cast<int>(words_);
+  int pred_hi = 0;
+  for (core::TaskId pr : graph_->predecessors(id)) {
+    const std::size_t j = static_cast<std::size_t>(pr);
+    const std::uint64_t* bits = task_bits(pr);
+    for (int w = task_lo_[j]; w < task_hi_[j]; ++w) pred_[w] |= bits[w];
+    pred_lo = std::min(pred_lo, task_lo_[j]);
+    pred_hi = std::max(pred_hi, task_hi_[j]);
+  }
+
+  std::uint64_t* mine = task_bits(id);
+  std::fill(mine + task_lo_[i], mine + task_hi_[i], 0);
+  int lo = static_cast<int>(words_);
+  int hi = 0;
+  int need = p;
+  const auto take = [&](Block& block, int w, std::uint64_t candidates) {
+    const std::uint64_t m = lowest_bits(candidates, need);
+    block_bits(block)[w] &= ~m;
+    block.count -= std::popcount(m);
+    need -= std::popcount(m);
+    mine[w] |= m;
+    lo = std::min(lo, w);
+    hi = std::max(hi, w + 1);
+  };
+  // Any core free by `start` is an equally good pick, so the predecessor
+  // cores among them go first, in (free time, index) order: blocks in
+  // ascending free time, bits in ascending index.
+  for (Block& block : blocks_) {
+    if (need == 0 || block.free > start) break;
+    const std::uint64_t* bits = block_bits(block);
+    const int end = std::min(block.hi, pred_hi);
+    for (int w = std::max(block.lo, pred_lo); w < end && need > 0; ++w) {
+      if ((bits[w] & pred_[w]) != 0) take(block, w, bits[w] & pred_[w]);
+    }
+  }
+  // Backfill with the earliest-free other cores.  At least p cores are
+  // free by `start`, so these are too.
+  for (Block& block : blocks_) {
+    if (need == 0) break;
+    const std::uint64_t* bits = block_bits(block);
+    for (int w = block.lo; w < block.hi && need > 0; ++w) {
+      if ((bits[w] & ~pred_[w]) != 0) take(block, w, bits[w] & ~pred_[w]);
+    }
+  }
+  for (int w = pred_lo; w < pred_hi; ++w) pred_[w] = 0;
+  task_lo_[i] = lo;
+  task_hi_[i] = hi;
+
+  // Drop the emptied blocks (their bitsets are all zero again) and tighten
+  // the word ranges of the rest.
+  std::size_t kept = 0;
+  for (Block& block : blocks_) {
+    if (block.count == 0) {
+      free_slots_.push_back(block.slot);
+      continue;
+    }
+    const std::uint64_t* bits = block_bits(block);
+    while (bits[block.lo] == 0) ++block.lo;
+    while (bits[block.hi - 1] == 0) --block.hi;
+    blocks_[kept++] = block;
+  }
+  blocks_.resize(kept);
+
+  // The chosen cores all become free at `finish`.
+  const auto pos = std::lower_bound(
+      blocks_.begin(), blocks_.end(), finish,
+      [](const Block& block, double t) { return block.free < t; });
+  if (pos != blocks_.end() && pos->free == finish) {
+    std::uint64_t* bits = block_bits(*pos);
+    for (int w = lo; w < hi; ++w) bits[w] |= mine[w];
+    pos->count += p;
+    pos->lo = std::min(pos->lo, lo);
+    pos->hi = std::max(pos->hi, hi);
+    return;
+  }
+  const std::ptrdiff_t at = pos - blocks_.begin();
+  const Block block{finish, p, lo, hi, take_slot()};
+  std::copy(mine + lo, mine + hi, block_bits(block) + lo);
+  blocks_.insert(blocks_.begin() + at, block);
+}
+
+GanttSchedule list_schedule(const core::TaskGraph& graph,
+                            std::span<const int> allocation,
+                            const TaskTimeTable& table) {
+  return ListScheduler(graph, table).schedule(allocation);
 }
 
 }  // namespace ptask::sched

@@ -97,11 +97,12 @@ TEST_P(RandomGraphTest, AllSchedulersProduceValidSchedules) {
   EXPECT_TRUE(lr.ok()) << lr.errors.front();
   EXPECT_GT(layered.predicted_makespan, 0.0);
 
-  const sched::CpaResult cpa = sched::CpaScheduler(cm).schedule(g, cores);
+  const sched::MoldableResult cpa = sched::CpaScheduler(cm).schedule(g, cores);
   EXPECT_TRUE(sched::validate(cpa.schedule, g).ok());
-  const sched::CpaResult mcpa = sched::McpaScheduler(cm).schedule(g, cores);
+  const sched::MoldableResult mcpa =
+      sched::McpaScheduler(cm).schedule(g, cores);
   EXPECT_TRUE(sched::validate(mcpa.schedule, g).ok());
-  const sched::CprResult cpr = sched::CprScheduler(cm).schedule(g, cores);
+  const sched::MoldableResult cpr = sched::CprScheduler(cm).schedule(g, cores);
   EXPECT_TRUE(sched::validate(cpr.schedule, g).ok());
 }
 

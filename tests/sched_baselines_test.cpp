@@ -91,7 +91,7 @@ TEST(Cpa, ProducesValidSchedules) {
   const cost::CostModel cm(m);
   const CpaScheduler cpa(cm);
   for (int cores : {4, 16, 64}) {
-    const CpaResult result = cpa.schedule(fork_join(6), cores);
+    const MoldableResult result = cpa.schedule(fork_join(6), cores);
     EXPECT_TRUE(validate(result.schedule, fork_join(6)).ok()) << cores;
     for (int a : result.allocation) {
       EXPECT_GE(a, 1);
@@ -112,7 +112,7 @@ TEST(Cpa, OverAllocatesIndependentStageTasks) {
   const core::TaskGraph g = spec.step_graph();
   const arch::Machine m = machine(16);
   const cost::CostModel cm(m);
-  const CpaResult result = CpaScheduler(cm).schedule(g, 64);
+  const MoldableResult result = CpaScheduler(cm).schedule(g, 64);
   int stage_total = 0;
   for (core::TaskId id = 0; id < g.num_tasks(); ++id) {
     if (g.task(id).name().find("stage") != std::string::npos) {
@@ -133,7 +133,7 @@ TEST(Mcpa, LevelBoundPreventsOverAllocation) {
   const core::TaskGraph g = spec.step_graph();
   const arch::Machine m = machine(16);
   const cost::CostModel cm(m);
-  const CpaResult result = McpaScheduler(cm).schedule(g, 64);
+  const MoldableResult result = McpaScheduler(cm).schedule(g, 64);
   int stage_total = 0;
   for (core::TaskId id = 0; id < g.num_tasks(); ++id) {
     if (g.task(id).name().find("stage") != std::string::npos) {
@@ -163,7 +163,7 @@ TEST(Mcpa, ValidAcrossCoreCounts) {
   const cost::CostModel cm(m);
   const core::TaskGraph g = fork_join(6);
   for (int cores : {4, 16, 64}) {
-    const CpaResult result = McpaScheduler(cm).schedule(g, cores);
+    const MoldableResult result = McpaScheduler(cm).schedule(g, cores);
     EXPECT_TRUE(validate(result.schedule, g).ok()) << cores;
   }
 }
@@ -174,7 +174,7 @@ TEST(Cpr, ProducesValidSchedules) {
   const CprScheduler cpr(cm);
   const core::TaskGraph g = fork_join(6);
   for (int cores : {4, 16}) {
-    const CprResult result = cpr.schedule(g, cores);
+    const MoldableResult result = cpr.schedule(g, cores);
     EXPECT_TRUE(validate(result.schedule, g).ok()) << cores;
   }
 }
@@ -187,7 +187,7 @@ TEST(Cpr, NeverWorseThanAllOnesAllocation) {
   const TaskTimeTable table(g, cm, cores);
   const std::vector<int> ones(static_cast<std::size_t>(g.num_tasks()), 1);
   const double baseline = list_schedule(g, ones, table).makespan;
-  const CprResult result = CprScheduler(cm).schedule(g, cores);
+  const MoldableResult result = CprScheduler(cm).schedule(g, cores);
   EXPECT_LE(result.schedule.makespan, baseline + 1e-12);
 }
 
@@ -204,7 +204,7 @@ TEST(Cpr, InflatesLongChains) {
       core::contract_linear_chains(spec.step_graph());
   const arch::Machine m = machine(16);
   const cost::CostModel cm(m);
-  const CprResult result = CprScheduler(cm).schedule(cc.contracted, 64);
+  const MoldableResult result = CprScheduler(cm).schedule(cc.contracted, 64);
   // Find the longest chain (8 micro steps) and check it got a large share.
   int max_alloc = 0;
   for (core::TaskId id = 0; id < cc.contracted.num_tasks(); ++id) {
@@ -257,7 +257,7 @@ TEST(Baselines, LayerSchedulerBeatsCpaOnStageGraphs) {
   const cost::CostModel cm(m);
 
   const LayeredSchedule layered = LayerScheduler(cm).schedule(g, 64);
-  const CpaResult cpa = CpaScheduler(cm).schedule(g, 64);
+  const MoldableResult cpa = CpaScheduler(cm).schedule(g, 64);
   EXPECT_LT(layered.predicted_makespan, cpa.schedule.makespan);
 }
 
