@@ -193,6 +193,9 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024u * 1024u;
 /// Prepends the 4-byte big-endian length header to `payload`.
 std::string encode_frame(std::string_view payload);
 
+/// Appends `payload` framed (header, then payload) to `out`.
+void append_frame(std::string& out, std::string_view payload);
+
 /// Decodes the 4-byte big-endian length header.
 std::uint32_t decode_frame_length(const unsigned char header[4]);
 
@@ -201,12 +204,8 @@ std::uint32_t decode_frame_length(const unsigned char header[4]);
 /// Renders a "schedule" request payload (without the frame header).  The
 /// rendering is canonical: field order and number formatting are fixed, and
 /// doubles round-trip exactly (max_digits10), so re-serializing a parsed
-/// request reproduces the same bytes.  With include_annotations == false
-/// the request_id/family annotation members are omitted -- that variant is
-/// the cache key, which is how two requests differing only in annotations
-/// share one cache entry.
-std::string serialize_request(const ScheduleRequest& request,
-                              bool include_annotations = true);
+/// request reproduces the same bytes.
+std::string serialize_request(const ScheduleRequest& request);
 
 std::string serialize_machine(const arch::MachineSpec& machine);
 std::string serialize_graph(const core::TaskGraph& graph);
@@ -224,34 +223,45 @@ std::string serialize_extend(const ExtendRequest& request);
 std::string serialize_close(const CloseRequest& request);
 
 // ---- request parsing (server side) ----
+//
+// The typed parsers read an already-parsed JSON document: the server parses
+// each frame once and dispatches on its "type" member before picking one.
 
-/// Parses a "schedule" request payload.  Throws ProtocolError with the
-/// matching PTS00x code on malformed JSON, missing/ill-typed fields, edge
-/// ids out of range or closing a cycle, unknown scheduler names, and
+/// Builds a "schedule" request from its JSON document.  Throws
+/// ProtocolError with the matching PTS00x code on missing/ill-typed fields,
+/// edge ids out of range or closing a cycle, unknown scheduler names, and
 /// zero-task graphs.
+ScheduleRequest parse_request(const obs::json::Value& document);
+
+/// Parses a "schedule" request payload: parse_request of its JSON document,
+/// with malformed JSON reported as PTS001.
 ScheduleRequest parse_request(std::string_view payload);
 
-/// Parses a "submit" request payload (same error codes as parse_request;
-/// sessions have no scheduler member -- they always run "incremental").
-SubmitRequest parse_submit(std::string_view payload);
+/// Builds a "submit" request (same error codes as parse_request; sessions
+/// have no scheduler member -- they always run "incremental").
+SubmitRequest parse_submit(const obs::json::Value& document);
 
-/// Parses an "extend" request payload.  Structural problems (missing
-/// members, ill-typed fields) are PTS002; delta *semantics* against the
-/// session's accumulated graph (unknown ids, cycles, release monotonicity)
-/// are checked by the server when the delta is applied and reported as
-/// PTS007.
-ExtendRequest parse_extend(std::string_view payload);
+/// Builds an "extend" request.  Structural problems (missing members,
+/// ill-typed fields) are PTS002; delta *semantics* against the session's
+/// accumulated graph (unknown ids, cycles, release monotonicity) are checked
+/// by the server when the delta is applied and reported as PTS007.
+ExtendRequest parse_extend(const obs::json::Value& document);
 
-/// Parses a "close" request payload.
-CloseRequest parse_close(std::string_view payload);
+/// Builds a "close" request.
+CloseRequest parse_close(const obs::json::Value& document);
 
-/// The cache key of a request: its canonical re-serialization WITHOUT the
-/// request_id/family annotations.  Two requests get the same key iff they
-/// have identical schedulable content (scheduler, cores, machine, graph --
-/// including every task weight), so near-collision graphs that differ in
-/// one weight never share an entry, while requests differing only in
-/// correlation ids do.
-std::string canonical_key(const ScheduleRequest& request);
+/// The cache key of a request: a length-prefixed binary encoding of its
+/// schedulable content WITHOUT the request_id/family annotations.  Two
+/// requests get the same key iff they have identical scheduler, cores,
+/// certify flag, machine and graph -- including every task weight, keyed by
+/// its bit pattern -- so near-collision graphs that differ in one weight
+/// never share an entry, while requests differing only in correlation ids
+/// do.  The fields are encoded in the order scheduler, total_cores,
+/// certify, machine, graph, so the key's first `*batch_key_size` bytes (set
+/// when non-null) are the batching compatibility key: requests that agree
+/// on it may share one sched::BatchScheduler.
+std::string canonical_key(const ScheduleRequest& request,
+                          std::size_t* batch_key_size = nullptr);
 
 /// Best-effort extraction of a top-level "request_id" string from a payload
 /// that may not parse as JSON (used to keep PTS001 errors correlatable).

@@ -6,16 +6,22 @@
 /// nonblocking framed reads into per-connection buffers, and hands each
 /// *complete* request payload to the server via the frame callback -- so a
 /// thousand idle keep-alive connections cost one thread and zero worker
-/// capacity, and `--workers` sizes compute, not connections.  Responses
-/// travel the other way through `respond()` (thread-safe; workers call it),
-/// which queues the encoded frame, wakes the reactor over an eventfd, and
-/// lets the reactor flush it nonblockingly.
+/// capacity, and `--workers` sizes compute, not connections.  The callback
+/// either answers on the spot (it returns the response, which the reactor
+/// frames, appends and flushes itself: no thread hand-off, no eventfd) or
+/// hands the request on and returns nothing; the answer then travels back
+/// through `respond()` (thread-safe; workers call it), which queues the
+/// encoded frame, wakes the reactor over an eventfd, and lets the reactor
+/// flush it nonblockingly.
 ///
 /// Flow control is per connection: the wire protocol is strictly serial
 /// (one request, then its response, on one connection), so while a frame is
-/// in flight the reactor stops reading that connection (EPOLLIN off).  A
-/// client that pipelines anyway just accumulates bytes in the kernel socket
-/// buffer -- natural TCP backpressure, no unbounded user-space buffering.
+/// in flight downstream the reactor stops reading that connection (EPOLLIN
+/// off).  A client that pipelines anyway just accumulates bytes in the
+/// kernel socket buffer -- natural TCP backpressure, no unbounded user-space
+/// buffering.  Frames answered on the spot never turn EPOLLIN off: the
+/// reactor answers the buffered frames of a connection in a loop until one
+/// goes downstream, the input runs out, or the socket stops taking output.
 /// Frames larger than the configured limit are answered through the
 /// oversize callback and the connection is closed after the error frame is
 /// flushed (resynchronization inside the stream is impossible; the payload
@@ -39,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -49,17 +56,18 @@ class Reactor {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Called on the reactor thread for every complete frame.  `t_request` /
-  /// `span_begin_s` mark the arrival of the frame's first bytes (steady
-  /// clock / tracer clock; the latter is 0 when tracing is off), so queue
-  /// wait downstream counts into the request's total.  `recv_us` is the
-  /// frame assembly time.  The handler must eventually cause a `respond()`
-  /// or `disconnect()` for this connection; until then the reactor reads
-  /// nothing further from it.
-  using FrameHandler =
-      std::function<void(std::uint64_t conn_id, std::string&& payload,
-                         Clock::time_point t_request, double span_begin_s,
-                         double recv_us)>;
+  /// Called on the reactor thread for every complete frame.  `payload`
+  /// views the connection's input buffer and is valid only during the call.
+  /// `t_request` / `span_begin_s` mark the arrival of the frame's first
+  /// bytes (steady clock / tracer clock; the latter is 0 when tracing is
+  /// off), so queue wait downstream counts into the request's total.
+  /// `recv_us` is the frame assembly time.  A non-empty return value is
+  /// the (unframed) response, sent right away; an empty one means the
+  /// handler will cause a `respond()` or `disconnect()` for this connection
+  /// later, and until then the reactor reads nothing further from it.
+  using FrameHandler = std::function<std::string(
+      std::uint64_t conn_id, std::string_view payload,
+      Clock::time_point t_request, double span_begin_s, double recv_us)>;
 
   /// Builds the (unframed) response payload for an oversized frame
   /// announcing `length` bytes.  The reactor frames it, flushes it, and
@@ -120,8 +128,17 @@ class Reactor {
   void handle_conn_event(std::uint64_t conn_id, std::uint32_t events);
   void read_input(Connection& conn);
   void parse_frames(std::uint64_t conn_id, Connection& conn);
+  /// Appends one response payload, framed, to the connection's output.
+  void queue_response(Connection& conn, std::string_view payload);
+  /// Writes pending output, then -- once it is all out -- completes the
+  /// response and parses the frames buffered behind it.
   void flush_output(std::uint64_t conn_id, Connection& conn);
-  void finish_flush(std::uint64_t conn_id, Connection& conn);
+  /// Writes pending output; false when the socket would block (EPOLLOUT is
+  /// armed) or the connection was destroyed.
+  bool write_output(std::uint64_t conn_id, Connection& conn);
+  /// Ends a fully written response; false when the connection was closed
+  /// or there was no response to end.
+  bool complete_response(std::uint64_t conn_id, Connection& conn);
   void update_interest(Connection& conn);
   void destroy(std::uint64_t conn_id);
   void drain_commands();

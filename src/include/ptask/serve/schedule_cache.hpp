@@ -4,12 +4,12 @@
 ///
 /// The cache generalizes `cost::CachedCostModel`'s content-fingerprint idea
 /// from single task times to whole schedules: the key is the request's
-/// *canonical serialization* (scheduler name, core count, machine spec, and
-/// the full graph including every task weight -- see
-/// `serve::canonical_key`), so two requests share an entry iff their
-/// content is identical.  The full key string is compared on lookup (the
-/// hash only picks the shard and bucket), so near-collision requests --
-/// same shape, one weight different -- can never alias.
+/// *canonical key*, a binary encoding of its scheduler name, core count,
+/// certify flag, machine spec, and the full graph including every task
+/// weight (see `serve::canonical_key`), so two requests share an entry iff
+/// their content is identical.  The full key string is compared on lookup
+/// (the hash only picks the shard and bucket), so near-collision requests
+/// -- same shape, one weight different -- can never alias.
 ///
 /// Entries are *single-flight*: when N threads ask for the same absent key
 /// concurrently, exactly one runs the compute function while the others
@@ -65,6 +65,13 @@ class ScheduleCache {
   /// to all waiters and evict the placeholder entry.
   Entry get_or_compute(const std::string& key,
                        const std::function<std::string()>& compute);
+
+  /// Returns the completed value for `key` without blocking, or nullptr
+  /// when the key is absent or its computation is still in flight.  Never
+  /// inserts a placeholder.  A returned value counts as a hit and refreshes
+  /// the entry's recency; a nullptr counts nothing (the caller goes on to
+  /// get_or_compute, which does the counting).
+  Entry find_ready(const std::string& key);
 
   /// Hit/miss accounting (a miss is counted once per computed entry).
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }

@@ -5,19 +5,24 @@
 ///
 /// A `Server` listens on a loopback TCP port and answers the length-prefixed
 /// JSON protocol of protocol.hpp.  The data path is event-driven: one
-/// reactor thread (see reactor.hpp) multiplexes every connection with epoll,
-/// assembles complete frames nonblockingly, and hands them to a bounded
-/// admission queue; a pool of compute workers drains the queue, so
+/// reactor thread (see reactor.hpp) multiplexes every connection with epoll
+/// and assembles complete frames nonblockingly.  For each frame it first
+/// asks the bounded admission queue: when the queue is full the frame is
+/// rejected immediately, unparsed, with the stable PTS008 overload error
+/// (carrying a `retry_after_ms` backoff hint) instead of growing memory
+/// without bound.  An admitted frame is parsed once, on the reactor; a
+/// schedule request whose cached answer is ready is answered there and
+/// then, and everything else -- misses, sessions, stats/metrics/trace/ping,
+/// parse errors -- goes through the queue to a pool of compute workers, so
 /// `num_workers` sizes *compute* and a thousand idle keep-alive connections
-/// cost no threads.  When the queue is full a request is rejected
-/// immediately with the stable PTS008 overload error (carrying a
-/// `retry_after_ms` backoff hint) instead of growing memory without bound.
+/// cost no threads.
 ///
-/// "schedule" requests are keyed by their canonical serialization and
-/// answered from a single-flight `ScheduleCache`, so a repeated
-/// graph/machine/scheduler request costs one scheduler run process-wide and
-/// every response carries byte-identical schedule bytes.  Requests that
-/// dequeue together and agree on (scheduler, machine, total_cores, certify)
+/// "schedule" requests are keyed by their canonical key (a binary encoding
+/// of the schedulable content) and answered from a single-flight
+/// `ScheduleCache`, so a repeated graph/machine/scheduler request costs one
+/// scheduler run process-wide and every response carries byte-identical
+/// schedule bytes.  Requests that dequeue together and agree on
+/// (scheduler, total_cores, certify, machine) -- the prefix of their keys --
 /// but differ in graph are *batched*: they run through one
 /// `sched::BatchScheduler` whose content-keyed pricing cache is shared
 /// across the members, amortizing cost-model evaluations -- with responses
@@ -39,7 +44,8 @@
 ///                           cache (lookup incl. single-flight wait),
 ///                           schedule/certify/serialize (cache misses
 ///                           only), send
-///   serve.queue.enqueued    requests admitted to the bounded queue
+///   serve.queue.enqueued    requests admitted to the bounded queue (ready
+///                           cache hits are answered without it)
 ///   serve.queue.rejected    requests rejected with PTS008 (queue full)
 ///   serve.queue.wait_us     histogram of time spent queued before a
 ///                           worker picked the request up (the queue depth
@@ -63,10 +69,13 @@
 /// (render_metrics); a "trace" request drains the live tracer into a
 /// Chrome/Perfetto trace.  Every request is tagged with a request id and,
 /// when tracing is enabled, a span tree
-/// serve.request -> queue/parse/cache.lookup[/schedule/certify/serialize]
-/// on the worker's track (recv/send live on the reactor's track).
-/// `rt::FaultOptions::from_env` is honored: with PTASK_FAULT_* set, workers
-/// perturb themselves at request-handling synchronization points, widening
+/// serve.request -> queue/parse/cache.lookup[/schedule/certify/serialize]:
+/// recv, parse and send live on the reactor's track, and so does the whole
+/// tree of a request answered there (a ready cache hit); the rest of a
+/// queued request's tree is on its worker's track.
+/// `rt::FaultOptions::from_env` is honored: with PTASK_FAULT_* set, the reactor
+/// and the workers perturb themselves at request-handling synchronization
+/// points, widening
 /// the interleavings the soak test explores.
 
 #include <atomic>
@@ -76,6 +85,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -191,24 +201,37 @@ class Server {
   struct RequestTrace;
   struct SessionState;
   struct RequestJob;
-  struct ParsedJob;
   struct RequestQueue;
 
-  /// Reactor-thread entry: admission control.  Full queue -> immediate
-  /// PTS008; closed queue (shutdown) -> drop the connection.
-  void on_frame(std::uint64_t conn_id, std::string&& payload,
-                Reactor::Clock::time_point t_request, double span_begin_s,
-                double recv_us);
+  /// Reactor-thread entry for every complete frame.  Admission control
+  /// comes first (full queue -> PTS008, closed queue at shutdown -> drop
+  /// the connection), before any parse.  An admitted frame is parsed once;
+  /// a schedule request whose key is already cached is answered here (the
+  /// returned response), everything else is queued for a worker (empty
+  /// return).
+  std::string on_frame(std::uint64_t conn_id, std::string_view payload,
+                       Reactor::Clock::time_point t_request,
+                       double span_begin_s, double recv_us);
   /// Reactor-thread entry: builds the PTS005 response for oversized frames.
   std::string on_oversize(std::uint32_t length);
   void worker_loop(int worker_index);
-  /// Parses/dispatches one payload.  Returns true when `job.response` is
-  /// final (non-schedule kinds, parse errors); returns false with
-  /// `job.request` filled for schedule requests awaiting execution.
-  bool dispatch_payload(ParsedJob& job);
+  /// Parses one payload into `job`: the typed request (plus the cache key
+  /// for schedule requests), or the final error response.
+  void parse_frame(RequestJob& job, std::string_view payload);
+  /// Answers `job` with a PTS00x error.
+  void fail(RequestJob& job, std::string_view code, std::string_view message);
+  /// Worker side of the non-schedule kinds: sessions, stats, metrics,
+  /// trace and ping.
+  void run_request(RequestJob& job);
+  /// Reactor side of a schedule request: answers it when its key is a
+  /// completed cache entry; false (nothing answered) otherwise.
+  bool answer_ready_hit(RequestJob& job);
   /// Cache lookup + (on miss) scheduler run for a schedule request; when
   /// `batch` is non-null the run prices through the batch's shared cache.
-  void execute_schedule(ParsedJob& job, const sched::BatchScheduler* batch);
+  void execute_schedule(RequestJob& job, const sched::BatchScheduler* batch);
+  /// Success epilogue of a schedule request: latency metrics and the
+  /// response around the schedule bytes.
+  void answer_schedule(RequestJob& job, const std::string& schedule_json);
   /// Session requests (online incremental scheduling).  These bypass the
   /// whole-schedule cache entirely: session responses depend on mutable
   /// per-session state, so caching them would serve stale schedules.

@@ -1,8 +1,10 @@
 #include "ptask/obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace ptask::obs::json {
 
@@ -249,8 +251,15 @@ class Parser {
     }
     Value v;
     v.type = Value::Type::Number;
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                           nullptr);
+    // from_chars reads the validated bytes in place.  On overflow or
+    // underflow it leaves the value unset, so those rare inputs take strtod,
+    // which rounds them to +-inf, zero or a denormal.
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    if (std::from_chars(first, last, v.number).ec ==
+        std::errc::result_out_of_range) {
+      v.number = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     return v;
   }
 

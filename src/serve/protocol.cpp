@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "ptask/sched/registry.hpp"
@@ -255,6 +256,20 @@ void parse_annotations(const Value& document, std::string* request_id,
   }
 }
 
+/// Appends the object representation of a fixed-width value to a cache
+/// key (doubles by bit pattern).
+template <typename T>
+void put(std::string& key, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  key.append(bytes, sizeof(T));
+}
+
+void put_string(std::string& key, std::string_view text) {
+  put(key, std::uint64_t{text.size()});
+  key.append(text);
+}
+
 Value parse_document(std::string_view payload) {
   try {
     return obs::json::parse(payload);
@@ -294,15 +309,19 @@ std::string_view describe_error(std::string_view code) {
 }
 
 std::string encode_frame(std::string_view payload) {
-  const auto length = static_cast<std::uint32_t>(payload.size());
   std::string frame;
   frame.reserve(payload.size() + 4);
-  frame.push_back(static_cast<char>((length >> 24) & 0xff));
-  frame.push_back(static_cast<char>((length >> 16) & 0xff));
-  frame.push_back(static_cast<char>((length >> 8) & 0xff));
-  frame.push_back(static_cast<char>(length & 0xff));
-  frame.append(payload);
+  append_frame(frame, payload);
   return frame;
+}
+
+void append_frame(std::string& out, std::string_view payload) {
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  out.push_back(static_cast<char>((length >> 24) & 0xff));
+  out.push_back(static_cast<char>((length >> 16) & 0xff));
+  out.push_back(static_cast<char>((length >> 8) & 0xff));
+  out.push_back(static_cast<char>(length & 0xff));
+  out.append(payload);
 }
 
 std::uint32_t decode_frame_length(const unsigned char header[4]) {
@@ -384,8 +403,7 @@ std::string serialize_graph(const core::TaskGraph& graph) {
   return out;
 }
 
-std::string serialize_request(const ScheduleRequest& request,
-                              bool include_annotations) {
+std::string serialize_request(const ScheduleRequest& request) {
   std::string out = "{\"type\":\"schedule\",\"scheduler\":";
   append_json_string(out, request.scheduler);
   out += ",\"total_cores\":" + std::to_string(request.total_cores);
@@ -394,29 +412,13 @@ std::string serialize_request(const ScheduleRequest& request,
   // Optional members are emitted only when set: pre-certification request
   // bytes stay stable, and parse -> serialize still round-trips exactly.
   if (request.certify) out += ",\"certify\":true";
-  if (include_annotations) {
-    if (!request.request_id.empty()) {
-      out += ",\"request_id\":";
-      append_json_string(out, request.request_id);
-    }
-    if (!request.family.empty()) {
-      out += ",\"family\":";
-      append_json_string(out, request.family);
-    }
-  }
+  append_annotations(out, request.request_id, request.family);
   out += '}';
   return out;
 }
 
-ScheduleRequest parse_request(std::string_view payload) {
-  Value document;
-  try {
-    document = obs::json::parse(payload);
-  } catch (const std::runtime_error& e) {
-    throw ProtocolError(kErrMalformedJson, e.what());
-  }
+ScheduleRequest parse_request(const Value& document) {
   if (!document.is_object()) bad_request("request must be a JSON object");
-
   ScheduleRequest request;
   request.scheduler =
       require(document, "scheduler", Value::Type::String, "request").string;
@@ -439,23 +441,58 @@ ScheduleRequest parse_request(std::string_view payload) {
     }
     request.certify = certify->boolean;
   }
-  if (const Value* id = document.find("request_id")) {
-    if (!id->is_string()) {
-      bad_request("request member 'request_id' has the wrong type");
-    }
-    request.request_id = id->string;
-  }
-  if (const Value* family = document.find("family")) {
-    if (!family->is_string()) {
-      bad_request("request member 'family' has the wrong type");
-    }
-    request.family = family->string;
-  }
+  parse_annotations(document, &request.request_id, &request.family);
   return request;
 }
 
-std::string canonical_key(const ScheduleRequest& request) {
-  return serialize_request(request, /*include_annotations=*/false);
+ScheduleRequest parse_request(std::string_view payload) {
+  return parse_request(parse_document(payload));
+}
+
+std::string canonical_key(const ScheduleRequest& request,
+                          std::size_t* batch_key_size) {
+  std::string key;
+  put_string(key, request.scheduler);
+  put(key, std::int32_t{request.total_cores});
+  put(key, std::uint8_t{request.certify});
+  const arch::MachineSpec& machine = request.machine;
+  put_string(key, machine.name);
+  put(key, std::int32_t{machine.num_nodes});
+  put(key, std::int32_t{machine.procs_per_node});
+  put(key, std::int32_t{machine.cores_per_proc});
+  put(key, machine.core_flops);
+  put(key, machine.core_efficiency);
+  put(key, machine.omp_region_overhead_s);
+  for (const arch::LinkParams* link :
+       {&machine.intra_processor, &machine.intra_node, &machine.inter_node}) {
+    put(key, link->latency_s);
+    put(key, link->bandwidth_Bps);
+  }
+  if (batch_key_size != nullptr) *batch_key_size = key.size();
+
+  const core::TaskGraph& graph = request.graph;
+  put(key, static_cast<std::uint64_t>(graph.num_tasks()));
+  for (core::TaskId id = 0; id < graph.num_tasks(); ++id) {
+    const core::MTask& task = graph.task(id);
+    put_string(key, task.name());
+    put(key, task.work_flop());
+    put(key, std::int32_t{task.max_cores()});
+    put(key, std::uint8_t{task.is_marker()});
+    put(key, std::uint64_t{task.comms().size()});
+    for (const core::CollectiveOp& op : task.comms()) {
+      put(key, static_cast<std::uint8_t>(op.kind));
+      put(key, static_cast<std::uint8_t>(op.scope));
+      put(key, std::uint64_t{op.data_bytes});
+      put(key, std::int32_t{op.repeat});
+    }
+  }
+  // Successor lists in insertion order, as serialize_graph emits the edges.
+  for (core::TaskId from = 0; from < graph.num_tasks(); ++from) {
+    const auto& successors = graph.successors(from);
+    put(key, std::uint64_t{successors.size()});
+    for (const core::TaskId to : successors) put(key, std::int32_t{to});
+  }
+  return key;
 }
 
 std::string serialize_submit(const SubmitRequest& request) {
@@ -506,8 +543,7 @@ std::string serialize_close(const CloseRequest& request) {
   return out;
 }
 
-SubmitRequest parse_submit(std::string_view payload) {
-  const Value document = parse_document(payload);
+SubmitRequest parse_submit(const Value& document) {
   require_type(document, "submit");
   SubmitRequest request;
   request.total_cores = static_cast<int>(
@@ -529,8 +565,7 @@ SubmitRequest parse_submit(std::string_view payload) {
   return request;
 }
 
-ExtendRequest parse_extend(std::string_view payload) {
-  const Value document = parse_document(payload);
+ExtendRequest parse_extend(const Value& document) {
   require_type(document, "extend");
   ExtendRequest request;
   request.session =
@@ -581,8 +616,7 @@ ExtendRequest parse_extend(std::string_view payload) {
   return request;
 }
 
-CloseRequest parse_close(std::string_view payload) {
-  const Value document = parse_document(payload);
+CloseRequest parse_close(const Value& document) {
   require_type(document, "close");
   CloseRequest request;
   request.session =

@@ -302,6 +302,9 @@ void Reactor::read_input(Connection& conn) {
 void Reactor::parse_frames(std::uint64_t conn_id, Connection& conn) {
   static obs::Histogram& phase_recv =
       obs::metrics().histogram("serve.phase.recv_us");
+  // A loop, not recursion: frames answered on the spot are flushed here and
+  // the next buffered frame is parsed right after, however many a client
+  // pipelined.
   while (!conn.busy && conn.pending_in() >= 4) {
     unsigned char header[4];
     std::memcpy(header, conn.in.data() + conn.in_off, 4);
@@ -311,22 +314,13 @@ void Reactor::parse_frames(std::uint64_t conn_id, Connection& conn) {
       // connection once it is flushed (the payload is never read;
       // resynchronization inside the stream is not possible).
       conn.busy = true;  // stop parsing; nothing further is trusted
-      const std::string response = on_oversize_(length);
       conn.close_after_flush = true;
-      if (conn.out.size() <= conn.out_off) conn.send_t0 = Clock::now();
-      conn.out += encode_frame(response);
-      update_interest(conn);
+      queue_response(conn, on_oversize_(length));
       flush_output(conn_id, conn);
       return;
     }
     if (conn.pending_in() < 4u + length) break;  // frame incomplete
-    std::string payload =
-        conn.in.substr(conn.in_off + 4, length);
-    conn.in_off += 4u + length;
-    if (conn.in_off == conn.in.size()) {
-      conn.in.clear();
-      conn.in_off = 0;
-    }
+    const std::string_view payload(conn.in.data() + conn.in_off + 4, length);
     const Clock::time_point t_request =
         conn.timing_armed ? conn.frame_t0 : Clock::now();
     const double span_begin_s = conn.span_begin_s;
@@ -345,18 +339,45 @@ void Reactor::parse_frames(std::uint64_t conn_id, Connection& conn) {
       recv_span.end_s = obs::tracer().now();
       obs::tracer().record(std::move(recv_span));
     }
-    // One frame in flight per connection: reading stops (EPOLLIN off)
-    // until the response is flushed -- TCP backpressure bounds pipelining
-    // clients at the kernel buffer.
+    // One frame in flight per connection: until its response is flushed,
+    // nothing further is parsed.
     conn.busy = true;
-    update_interest(conn);
-    on_frame_(conn_id, std::move(payload), t_request, span_begin_s, recv_us);
-    return;
+    const std::string response =
+        on_frame_(conn_id, payload, t_request, span_begin_s, recv_us);
+    conn.in_off += 4u + length;
+    if (response.empty()) {
+      // Answered downstream: reading stops (EPOLLIN off) until respond(),
+      // so TCP backpressure bounds a pipelining client at the kernel
+      // buffer.
+      update_interest(conn);
+      return;
+    }
+    queue_response(conn, response);
+    if (!write_output(conn_id, conn) || !complete_response(conn_id, conn)) {
+      return;
+    }
+  }
+  // Drop the consumed prefix so a client that keeps a partial frame
+  // buffered behind its pipelined ones cannot grow the buffer.
+  if (conn.in_off > 0) {
+    conn.in.erase(0, conn.in_off);
+    conn.in_off = 0;
   }
   update_interest(conn);
 }
 
+void Reactor::queue_response(Connection& conn, std::string_view payload) {
+  if (conn.out.size() <= conn.out_off) conn.send_t0 = Clock::now();
+  append_frame(conn.out, payload);
+}
+
 void Reactor::flush_output(std::uint64_t conn_id, Connection& conn) {
+  if (write_output(conn_id, conn) && complete_response(conn_id, conn)) {
+    parse_frames(conn_id, conn);
+  }
+}
+
+bool Reactor::write_output(std::uint64_t conn_id, Connection& conn) {
   while (conn.out.size() > conn.out_off) {
     const ssize_t n =
         ::send(conn.fd, conn.out.data() + conn.out_off,
@@ -368,19 +389,19 @@ void Reactor::flush_output(std::uint64_t conn_id, Connection& conn) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       update_interest(conn);
-      return;
+      return false;
     }
     // Peer gone mid-flush: drop the rest.
     conn.peer_closed = true;
     conn.out.clear();
     conn.out_off = 0;
     destroy(conn_id);
-    return;
+    return false;
   }
-  finish_flush(conn_id, conn);
+  return true;
 }
 
-void Reactor::finish_flush(std::uint64_t conn_id, Connection& conn) {
+bool Reactor::complete_response(std::uint64_t conn_id, Connection& conn) {
   static obs::Histogram& phase_send =
       obs::metrics().histogram("serve.phase.send_us");
   const std::size_t sent_bytes = conn.out.size();
@@ -388,7 +409,7 @@ void Reactor::finish_flush(std::uint64_t conn_id, Connection& conn) {
     // Nothing was pending (spurious wakeup); no response completed, so the
     // busy/flow-control state must not change.
     update_interest(conn);
-    return;
+    return false;
   }
   conn.out.clear();
   conn.out_off = 0;
@@ -408,18 +429,17 @@ void Reactor::finish_flush(std::uint64_t conn_id, Connection& conn) {
   }
   if (conn.close_after_flush || conn.peer_closed) {
     destroy(conn_id);
-    return;
+    return false;
   }
   conn.busy = false;
-  update_interest(conn);
   // The client may have pipelined the next request while we were busy;
-  // its bytes are already buffered, so parse them now.
+  // its bytes are already buffered and get parsed next.
   if (conn.pending_in() > 0 && !conn.timing_armed) {
     conn.timing_armed = true;
     conn.frame_t0 = Clock::now();
     conn.span_begin_s = obs::enabled() ? obs::tracer().now() : 0.0;
   }
-  parse_frames(conn_id, conn);
+  return true;
 }
 
 void Reactor::update_interest(Connection& conn) {

@@ -75,6 +75,22 @@ ScheduleCache::Entry ScheduleCache::get_or_compute(
   }
 }
 
+ScheduleCache::Entry ScheduleCache::find_ready(const std::string& key) {
+  static obs::Counter& hit_counter = obs::metrics().counter("serve.cache.hit");
+  Shard& shard = shard_for(key);
+  Entry value;
+  {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.entries.find(key);
+    if (it == shard.entries.end() || !it->second.ready) return nullptr;
+    value = it->second.future.get();  // ready: the value is already set
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  hit_counter.add();
+  touch(key);
+  return value;
+}
+
 void ScheduleCache::touch(const std::string& key) {
   if (max_entries_ == 0) return;
   const std::lock_guard<std::mutex> lock(lru_mutex_);

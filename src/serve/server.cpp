@@ -15,6 +15,8 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <variant>
 
 #include "ptask/analysis/certifier.hpp"
 #include "ptask/cost/cost_model.hpp"
@@ -150,34 +152,47 @@ class ServePhase {
   bool done_ = false;
 };
 
+/// Records a Serve span from `begin_s` (tracer clock) to now on this
+/// thread's track.
+void record_serve_span(std::string name, double begin_s) {
+  obs::Span span;
+  span.kind = obs::SpanKind::Serve;
+  span.name = std::move(name);
+  span.worker = obs::thread_context().worker;
+  span.begin_s = begin_s;
+  span.end_s = obs::tracer().now();
+  obs::tracer().record(std::move(span));
+}
+
 }  // namespace
 
-/// One admitted request traveling from the reactor to a worker.
+/// One request.  The reactor thread parses it; a ready cache hit is then
+/// answered right there, and everything else travels through the admission
+/// queue to a worker.
 struct Server::RequestJob {
   std::uint64_t conn_id = 0;
-  std::string payload;
   Reactor::Clock::time_point t_request{};  ///< frame arrival (recv start)
   double span_begin_s = 0.0;               ///< tracer clock at frame arrival
-  double recv_us = -1.0;
-  Reactor::Clock::time_point t_enqueue{};  ///< admission time
-};
-
-/// A job after parse/dispatch, carrying either a final response or a
-/// schedule request awaiting (possibly batched) execution.
-struct Server::ParsedJob {
-  RequestJob job;
-  RequestTrace trace;
   bool tracing = false;
-  Clock::time_point t0{};  ///< latency clock (starts at parse)
+  RequestTrace trace;
+  /// The typed request.  monostate for the kinds answered from server state
+  /// alone (stats, metrics, trace, ping) and for frames that failed to
+  /// parse, whose `response` is already final.
+  std::variant<std::monostate, ScheduleRequest, SubmitRequest, ExtendRequest,
+               CloseRequest>
+      request;
+  std::string key;                 ///< canonical key of a schedule request
+  std::size_t batch_key_size = 0;  ///< its batching-compatibility prefix
   std::string response;
-  bool done = false;
-  std::optional<ScheduleRequest> request;
-  std::string compat;  ///< batching compatibility key
+  Clock::time_point t_enqueue{};  ///< admission time
+  /// Latency clock: the request latency is parse_us plus the time since t0,
+  /// which is set after the parse (reactor) or at dequeue (worker).
+  Clock::time_point t0{};
 };
 
 /// Bounded admission queue between the reactor and the worker pool.
 struct Server::RequestQueue {
-  enum class Push { Ok, Full, Closed };
+  enum class Admit { Ok, Full, Closed };
 
   explicit RequestQueue(std::size_t max) : max_entries(max) {}
 
@@ -190,20 +205,30 @@ struct Server::RequestQueue {
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> rejected{0};
 
-  Push push(RequestJob&& job) {
+  /// The admission decision for a frame, taken before the frame is parsed
+  /// so that refusing it costs no parse.  Only the reactor thread pushes,
+  /// so a frame admitted here still fits when push() runs.
+  Admit admit() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (closed) return Admit::Closed;
+    if (max_entries > 0 && jobs.size() >= max_entries) {
+      rejected.fetch_add(1, std::memory_order_relaxed);
+      return Admit::Full;
+    }
+    return Admit::Ok;
+  }
+
+  /// Queues an admitted job; false when the queue closed since admit().
+  bool push(RequestJob&& job) {
     {
       const std::lock_guard<std::mutex> lock(mutex);
-      if (closed) return Push::Closed;
-      if (max_entries > 0 && jobs.size() >= max_entries) {
-        rejected.fetch_add(1, std::memory_order_relaxed);
-        return Push::Full;
-      }
+      if (closed) return false;
       jobs.push_back(std::move(job));
       depth.store(jobs.size(), std::memory_order_relaxed);
     }
     enqueued.fetch_add(1, std::memory_order_relaxed);
     cv.notify_one();
-    return Push::Ok;
+    return true;
   }
 
   /// Blocks for the first job, then -- within `window_us` if configured --
@@ -300,11 +325,10 @@ void Server::start() {
   reactor_options.worker_track = options_.num_workers;  // own trace track
   reactor_ = std::make_unique<Reactor>(
       reactor_options,
-      [this](std::uint64_t conn_id, std::string&& payload,
+      [this](std::uint64_t conn_id, std::string_view payload,
              Reactor::Clock::time_point t_request, double span_begin_s,
              double recv_us) {
-        on_frame(conn_id, std::move(payload), t_request, span_begin_s,
-                 recv_us);
+        return on_frame(conn_id, payload, t_request, span_begin_s, recv_us);
       },
       [this](std::uint32_t length) { return on_oversize(length); });
   try {
@@ -353,9 +377,9 @@ std::size_t Server::queue_depth() const {
   return queue_ ? queue_->depth.load(std::memory_order_relaxed) : 0;
 }
 
-void Server::on_frame(std::uint64_t conn_id, std::string&& payload,
-                      Reactor::Clock::time_point t_request,
-                      double span_begin_s, double recv_us) {
+std::string Server::on_frame(std::uint64_t conn_id, std::string_view payload,
+                             Reactor::Clock::time_point t_request,
+                             double span_begin_s, double recv_us) {
   static obs::Counter& requests = obs::metrics().counter("serve.requests");
   static obs::Counter& queue_enqueued =
       obs::metrics().counter("serve.queue.enqueued");
@@ -363,36 +387,26 @@ void Server::on_frame(std::uint64_t conn_id, std::string&& payload,
       obs::metrics().counter("serve.queue.rejected");
   requests.add();
 
-  RequestJob job;
-  job.conn_id = conn_id;
-  job.payload = std::move(payload);
-  job.t_request = t_request;
-  job.span_begin_s = span_begin_s;
-  job.recv_us = recv_us;
-  job.t_enqueue = Reactor::Clock::now();
-
-  // Admission control runs on the reactor thread, so a rejection costs no
-  // worker capacity: the overload answer is rendered and queued for flush
-  // right here.
-  const std::string_view rejected_payload = job.payload;  // for id recovery
-  switch (queue_->push(std::move(job))) {
-    case RequestQueue::Push::Ok:
-      queue_enqueued.add();
-      return;
-    case RequestQueue::Push::Closed:
+  // Admission control comes first and runs on the reactor thread, so a
+  // rejection costs no worker capacity and no parse: the overload answer
+  // is rendered and sent right here.
+  switch (queue_->admit()) {
+    case RequestQueue::Admit::Ok:
+      break;
+    case RequestQueue::Admit::Closed:
       // Shutdown already began; nothing will drain the queue for this
       // frame, so drop the connection instead of stranding the client.
       reactor_->disconnect(conn_id);
-      return;
-    case RequestQueue::Push::Full: {
+      return {};
+    case RequestQueue::Admit::Full: {
       queue_rejected.add();
       count_error(kErrOverloaded);
       RequestTrace trace;
       trace.error_code = kErrOverloaded;
       trace.recv_us = recv_us;
-      trace.request_id = extract_request_id_loose(rejected_payload);
+      trace.request_id = extract_request_id_loose(payload);
       if (trace.request_id.empty()) trace.request_id = mint_request_id();
-      const std::string response = with_request_id(
+      std::string response = with_request_id(
           overload_response(
               "admission queue full (" + std::to_string(options_.max_queue) +
                   " requests); retry after the hint",
@@ -400,10 +414,30 @@ void Server::on_frame(std::uint64_t conn_id, std::string&& payload,
           trace.request_id);
       trace.total_us = elapsed_us(t_request);
       finish_request(trace, span_begin_s, obs::enabled());
-      reactor_->respond(conn_id, encode_frame(response));
-      return;
+      return response;
     }
   }
+
+  RequestJob job;
+  job.conn_id = conn_id;
+  job.t_request = t_request;
+  job.span_begin_s = span_begin_s;
+  job.tracing = obs::enabled();
+  job.trace.recv_us = recv_us;
+  parse_frame(job, payload);
+  if (std::holds_alternative<ScheduleRequest>(job.request) &&
+      answer_ready_hit(job)) {
+    job.trace.total_us = elapsed_us(t_request);
+    finish_request(job.trace, span_begin_s, job.tracing);
+    return std::move(job.response);
+  }
+  job.t_enqueue = Clock::now();
+  if (!queue_->push(std::move(job))) {
+    reactor_->disconnect(conn_id);
+    return {};
+  }
+  queue_enqueued.add();
+  return {};
 }
 
 std::string Server::on_oversize(std::uint32_t length) {
@@ -446,38 +480,32 @@ void Server::worker_loop(int worker_index) {
                            options_.batch_window_us)) {
     in_flight_.fetch_add(static_cast<int>(jobs.size()),
                          std::memory_order_relaxed);
-    std::vector<ParsedJob> parsed;
-    parsed.reserve(jobs.size());
     for (RequestJob& job : jobs) {
-      ParsedJob item;
-      item.tracing = obs::enabled();
-      item.trace.recv_us = job.recv_us;
+      job.t0 = Clock::now();
       const double wait_us = elapsed_us(job.t_enqueue);
-      item.trace.queue_us = wait_us;
+      job.trace.queue_us = wait_us;
       queue_wait.observe(
           static_cast<std::uint64_t>(wait_us > 0.0 ? wait_us : 0.0));
-      if (item.tracing) {
-        obs::Span queue_span;
-        queue_span.kind = obs::SpanKind::Serve;
-        queue_span.name = "serve.queue";
-        queue_span.worker = obs::thread_context().worker;
-        const double end_s = obs::tracer().now();
-        queue_span.begin_s = end_s - wait_us / 1e6;
-        queue_span.end_s = end_s;
-        obs::tracer().record(std::move(queue_span));
+      if (job.tracing) {
+        record_serve_span("serve.queue", obs::tracer().now() - wait_us / 1e6);
       }
-      item.job = std::move(job);
-      item.done = dispatch_payload(item);
-      parsed.push_back(std::move(item));
+      if (job.response.empty() &&
+          !std::holds_alternative<ScheduleRequest>(job.request)) {
+        run_request(job);
+      }
     }
 
     // Coalesce compatible schedule requests: same (scheduler, total_cores,
-    // certify, machine), different graphs.  Members run sequentially over
-    // one shared content-keyed pricing cache; the first-seen order keys the
-    // map deterministically (std::map over the compat string).
-    std::map<std::string, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
-      if (!parsed[i].done) groups[parsed[i].compat].push_back(i);
+    // certify, machine), different graphs -- the requests whose canonical
+    // keys share the batching prefix.  Members run sequentially over one
+    // shared content-keyed pricing cache; the map orders the groups
+    // deterministically.
+    std::map<std::string_view, std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i].response.empty()) {
+        groups[std::string_view(jobs[i].key).substr(0, jobs[i].batch_key_size)]
+            .push_back(i);
+      }
     }
     for (const auto& [compat, members] : groups) {
       batch_size_hist.observe(members.size());
@@ -489,7 +517,8 @@ void Server::worker_loop(int worker_index) {
           batch_span.emplace(obs::SpanKind::Serve, "serve.batch");
         }
         std::optional<sched::BatchScheduler> batch;
-        const ScheduleRequest& first = *parsed[members.front()].request;
+        const ScheduleRequest& first =
+            std::get<ScheduleRequest>(jobs[members.front()].request);
         try {
           const cost::CostModel base{arch::Machine(first.machine)};
           batch.emplace(first.scheduler, base);
@@ -499,46 +528,36 @@ void Server::worker_loop(int worker_index) {
           // path so each member reports its own error.
         }
         for (const std::size_t index : members) {
-          parsed[index].trace.batch_size =
-              static_cast<int>(members.size());
-          execute_schedule(parsed[index],
-                           batch ? &*batch : nullptr);
+          jobs[index].trace.batch_size = static_cast<int>(members.size());
+          execute_schedule(jobs[index], batch ? &*batch : nullptr);
         }
       } else {
-        parsed[members.front()].trace.batch_size = 1;
-        execute_schedule(parsed[members.front()], nullptr);
+        jobs[members.front()].trace.batch_size = 1;
+        execute_schedule(jobs[members.front()], nullptr);
       }
     }
 
-    for (ParsedJob& item : parsed) {
-      item.trace.total_us = elapsed_us(item.job.t_request);
-      finish_request(item.trace, item.job.span_begin_s, item.tracing);
-      reactor_->respond(item.job.conn_id, encode_frame(item.response));
+    for (RequestJob& job : jobs) {
+      job.trace.total_us = elapsed_us(job.t_request);
+      finish_request(job.trace, job.span_begin_s, job.tracing);
+      reactor_->respond(job.conn_id, encode_frame(job.response));
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
 }
 
-bool Server::dispatch_payload(ParsedJob& item) {
-  static obs::Counter& responses_ok =
-      obs::metrics().counter("serve.responses.ok");
+void Server::parse_frame(RequestJob& job, std::string_view payload) {
   static obs::Histogram& phase_parse =
       obs::metrics().histogram("serve.phase.parse_us");
-  RequestTrace& trace = item.trace;
-  const std::string_view payload = item.job.payload;
+  RequestTrace& trace = job.trace;
   const std::uint64_t sequence =
       served_requests_.fetch_add(1, std::memory_order_relaxed);
   injector_.perturb(rt::FaultInjector::point(
       0, static_cast<std::int64_t>(sequence), /*phase=*/0));
 
-  const auto ensure_request_id = [&] {
-    if (trace.request_id.empty()) trace.request_id = mint_request_id();
-  };
-
-  item.t0 = Clock::now();
   try {
-    // The parse phase covers the document parse plus (for schedule
-    // requests) the typed request parse below.
+    // The parse phase covers the document parse, the typed request parse
+    // and, for schedule requests, the cache key.
     ServePhase parse_phase("serve.parse", phase_parse, trace.parse_us);
     obs::json::Value document;
     try {
@@ -552,120 +571,124 @@ bool Server::dispatch_payload(ParsedJob& item) {
     if (const obs::json::Value* id = document.find("request_id")) {
       if (id->is_string()) trace.request_id = id->string;
     }
-    ensure_request_id();
-    if (document.is_object()) {
-      if (const obs::json::Value* type = document.find("type")) {
-        if (type->is_string() && type->string == "stats") {
-          parse_phase.finish();
-          trace.kind = "stats";
-          responses_ok.add();
-          item.response = with_request_id(render_stats(), trace.request_id);
-          return true;
-        }
-        if (type->is_string() && type->string == "metrics") {
-          parse_phase.finish();
-          trace.kind = "metrics";
-          responses_ok.add();
-          item.response = with_request_id(metrics_response(render_metrics()),
-                                          trace.request_id);
-          return true;
-        }
-        if (type->is_string() && type->string == "trace") {
-          parse_phase.finish();
-          trace.kind = "trace";
-          responses_ok.add();
-          // Drain the live tracer: safe concurrently with recording
-          // workers (per-buffer locking; see obs/trace.hpp).  Spans still
-          // open land in the next dump.
-          std::string chrome = obs::render_chrome_trace(obs::tracer().take());
-          while (!chrome.empty() && chrome.back() == '\n') chrome.pop_back();
-          item.response =
-              with_request_id(trace_response(chrome), trace.request_id);
-          return true;
-        }
-        if (type->is_string() && type->string == "ping") {
-          parse_phase.finish();
-          trace.kind = "ping";
-          responses_ok.add();
-          item.response = with_request_id(pong_response(), trace.request_id);
-          return true;
-        }
-        // Session requests (online incremental scheduling).  These never
-        // touch the whole-schedule cache: a session response depends on
-        // mutable per-session state, so caching it would serve schedules
-        // for graphs the session has since grown past.
-        if (type->is_string() && type->string == "submit") {
-          const SubmitRequest request = parse_submit(payload);
-          parse_phase.finish();
-          trace.kind = "submit";
-          trace.scheduler = "incremental";
-          trace.family = request.family;
-          const std::string response = handle_submit(request, trace);
-          responses_ok.add();
-          item.response = with_request_id(response, trace.request_id);
-          return true;
-        }
-        if (type->is_string() && type->string == "extend") {
-          const ExtendRequest request = parse_extend(payload);
-          parse_phase.finish();
-          trace.kind = "extend";
-          trace.scheduler = "incremental";
-          trace.family = request.family;
-          const std::string response = handle_extend(request, trace);
-          responses_ok.add();
-          item.response = with_request_id(response, trace.request_id);
-          return true;
-        }
-        if (type->is_string() && type->string == "close") {
-          const CloseRequest request = parse_close(payload);
-          parse_phase.finish();
-          trace.kind = "close";
-          const std::string response = handle_close(request, trace);
-          responses_ok.add();
-          item.response = with_request_id(response, trace.request_id);
-          return true;
-        }
-      }
+    if (trace.request_id.empty()) trace.request_id = mint_request_id();
+    const obs::json::Value* type = document.find("type");
+    const std::string_view kind = type != nullptr && type->is_string()
+                                      ? std::string_view(type->string)
+                                      : std::string_view("schedule");
+    if (kind == "stats" || kind == "metrics" || kind == "trace" ||
+        kind == "ping") {
+      trace.kind = kind;  // a worker answers from the server's state
+      return;
     }
-
-    ScheduleRequest request = parse_request(payload);
-    parse_phase.finish();
+    // Session requests (online incremental scheduling).  These never
+    // touch the whole-schedule cache: a session response depends on
+    // mutable per-session state, so caching it would serve schedules for
+    // graphs the session has since grown past.
+    if (kind == "submit") {
+      SubmitRequest request = parse_submit(document);
+      trace.kind = "submit";
+      trace.scheduler = "incremental";
+      trace.family = request.family;
+      job.request = std::move(request);
+      return;
+    }
+    if (kind == "extend") {
+      ExtendRequest request = parse_extend(document);
+      trace.kind = "extend";
+      trace.scheduler = "incremental";
+      trace.family = request.family;
+      job.request = std::move(request);
+      return;
+    }
+    if (kind == "close") {
+      job.request = parse_close(document);
+      trace.kind = "close";
+      return;
+    }
+    ScheduleRequest request = parse_request(document);
+    job.key = canonical_key(request, &job.batch_key_size);
     trace.scheduler = request.scheduler;
     trace.family = request.family;
-    // Compatibility key for coalescing: everything that must agree for two
-    // requests to share one scheduler + pricing-cache instance.  The
-    // machine is keyed by its canonical serialization (field order and
-    // number formatting are fixed), so equal specs -- not just equal
-    // objects -- group together.
-    item.compat = request.scheduler + '\x1f' +
-                  std::to_string(request.total_cores) + '\x1f' +
-                  (request.certify ? '1' : '0') + '\x1f' +
-                  serialize_machine(request.machine);
-    item.request.emplace(std::move(request));
-    return false;
+    job.request = std::move(request);
   } catch (const ProtocolError& e) {
-    ensure_request_id();
-    trace.error_code = e.code();
-    count_error(e.code());
-    item.response = with_request_id(error_response(e.code(), e.what()),
-                                    trace.request_id);
-    return true;
+    fail(job, e.code(), e.what());
   } catch (const std::exception& e) {
-    ensure_request_id();
-    trace.error_code = kErrBadRequest;
-    count_error(kErrBadRequest);
-    item.response = with_request_id(error_response(kErrBadRequest, e.what()),
-                                    trace.request_id);
-    return true;
+    fail(job, kErrBadRequest, e.what());
   }
 }
 
-void Server::execute_schedule(ParsedJob& item,
-                              const sched::BatchScheduler* batch) {
+void Server::fail(RequestJob& job, std::string_view code,
+                  std::string_view message) {
+  RequestTrace& trace = job.trace;
+  if (trace.request_id.empty()) trace.request_id = mint_request_id();
+  trace.error_code = code;
+  count_error(code);
+  job.response =
+      with_request_id(error_response(code, message), trace.request_id);
+}
+
+void Server::run_request(RequestJob& job) {
   static obs::Counter& responses_ok =
       obs::metrics().counter("serve.responses.ok");
-  static obs::Histogram& latency =
-      obs::metrics().histogram("serve.latency_us");
+  RequestTrace& trace = job.trace;
+  try {
+    std::string response;
+    if (const auto* submit = std::get_if<SubmitRequest>(&job.request)) {
+      response = handle_submit(*submit, trace);
+    } else if (const auto* extend = std::get_if<ExtendRequest>(&job.request)) {
+      response = handle_extend(*extend, trace);
+    } else if (const auto* close = std::get_if<CloseRequest>(&job.request)) {
+      response = handle_close(*close, trace);
+    } else if (trace.kind == "stats") {
+      response = render_stats();
+    } else if (trace.kind == "metrics") {
+      response = metrics_response(render_metrics());
+    } else if (trace.kind == "trace") {
+      // Drain the live tracer: safe concurrently with recording workers
+      // (per-buffer locking; see obs/trace.hpp).  Spans still open land in
+      // the next dump.
+      std::string chrome = obs::render_chrome_trace(obs::tracer().take());
+      while (!chrome.empty() && chrome.back() == '\n') chrome.pop_back();
+      response = trace_response(chrome);
+    } else {
+      response = pong_response();  // "ping", the one kind left
+    }
+    responses_ok.add();
+    job.response = with_request_id(response, trace.request_id);
+  } catch (const ProtocolError& e) {
+    fail(job, e.code(), e.what());
+  } catch (const std::exception& e) {
+    fail(job, kErrBadRequest, e.what());
+  }
+}
+
+bool Server::answer_ready_hit(RequestJob& job) {
+  static obs::Histogram& phase_cache =
+      obs::metrics().histogram("serve.phase.cache_us");
+  injector_.perturb(rt::FaultInjector::point(
+      1,
+      static_cast<std::int64_t>(
+          served_requests_.load(std::memory_order_relaxed)),
+      /*phase=*/1));
+  job.t0 = Clock::now();
+  const double begin_s = job.tracing ? obs::tracer().now() : 0.0;
+  const ScheduleCache::Entry schedule_json = cache_.find_ready(job.key);
+  if (!schedule_json) return false;
+  // The cache phase of a hit is the lookup alone; a probe that misses is
+  // not a phase (the worker's lookup is).
+  const double us = elapsed_us(job.t0);
+  job.trace.cache_us = us;
+  phase_cache.observe(us > 0.0 ? static_cast<std::uint64_t>(us) : 0);
+  if (job.tracing) record_serve_span("serve.cache.lookup", begin_s);
+  job.trace.cache_used = true;
+  job.trace.cache_hit = true;
+  answer_schedule(job, *schedule_json);
+  return true;
+}
+
+void Server::execute_schedule(RequestJob& job,
+                              const sched::BatchScheduler* batch) {
   static obs::Histogram& phase_cache =
       obs::metrics().histogram("serve.phase.cache_us");
   static obs::Histogram& phase_schedule =
@@ -674,15 +697,10 @@ void Server::execute_schedule(ParsedJob& item,
       obs::metrics().histogram("serve.phase.certify_us");
   static obs::Histogram& phase_serialize =
       obs::metrics().histogram("serve.phase.serialize_us");
-  RequestTrace& trace = item.trace;
-  const ScheduleRequest& request = *item.request;
-
-  const auto ensure_request_id = [&] {
-    if (trace.request_id.empty()) trace.request_id = mint_request_id();
-  };
+  RequestTrace& trace = job.trace;
+  const ScheduleRequest& request = std::get<ScheduleRequest>(job.request);
 
   try {
-    const std::string key = canonical_key(request);
     injector_.perturb(rt::FaultInjector::point(
         1,
         static_cast<std::int64_t>(
@@ -698,7 +716,7 @@ void Server::execute_schedule(ParsedJob& item,
       // on misses, and is pure lookup/wait cost on hits).
       ServePhase cache_phase("serve.cache.lookup", phase_cache,
                              trace.cache_us);
-      schedule_json = cache_.get_or_compute(key, [&] {
+      schedule_json = cache_.get_or_compute(job.key, [&] {
         computed = true;
         std::optional<sched::Schedule> schedule;
         {
@@ -741,55 +759,56 @@ void Server::execute_schedule(ParsedJob& item,
     }
     trace.cache_used = true;
     trace.cache_hit = !computed;
-
-    responses_ok.add();
-    const double total_us = elapsed_us(item.t0);
-    const auto observed_us =
-        static_cast<std::uint64_t>(total_us > 0.0 ? total_us : 0.0);
-    latency.observe(observed_us);
-    // Per-strategy and per-family breakdowns.  Name lookup per request is
-    // a mutex-protected map probe -- noise against a scheduler run.
-    obs::metrics()
-        .histogram("serve.strategy." + request.scheduler + ".latency_us")
-        .observe(observed_us);
-    obs::metrics()
-        .counter("serve.strategy." + request.scheduler + ".requests")
-        .add();
-    if (!request.family.empty()) {
-      obs::metrics()
-          .histogram("serve.family." + request.family + ".latency_us")
-          .observe(observed_us);
-      obs::metrics()
-          .counter("serve.family." + request.family + ".requests")
-          .add();
-    }
-    if (request.certify) {
-      // The hash is a pure function of the canonical bytes, so cached hits
-      // carry the same certificate hash as the original miss.
-      item.response = with_request_id(
-          ok_response(*schedule_json,
-                      analysis::hash_hex(analysis::fnv1a64(*schedule_json))),
-          trace.request_id);
-      return;
-    }
-    item.response =
-        with_request_id(ok_response(*schedule_json), trace.request_id);
+    answer_schedule(job, *schedule_json);
   } catch (const ProtocolError& e) {
-    ensure_request_id();
-    trace.error_code = e.code();
-    count_error(e.code());
-    item.response = with_request_id(error_response(e.code(), e.what()),
-                                    trace.request_id);
+    fail(job, e.code(), e.what());
   } catch (const std::exception& e) {
     // Scheduler/cost-model rejections (e.g. invalid core counts for the
     // machine) map to bad-request: the graph/machine combination cannot be
     // scheduled.
-    ensure_request_id();
-    trace.error_code = kErrBadRequest;
-    count_error(kErrBadRequest);
-    item.response = with_request_id(error_response(kErrBadRequest, e.what()),
-                                    trace.request_id);
+    fail(job, kErrBadRequest, e.what());
   }
+}
+
+void Server::answer_schedule(RequestJob& job,
+                             const std::string& schedule_json) {
+  static obs::Counter& responses_ok =
+      obs::metrics().counter("serve.responses.ok");
+  static obs::Histogram& latency =
+      obs::metrics().histogram("serve.latency_us");
+  const ScheduleRequest& request = std::get<ScheduleRequest>(job.request);
+  responses_ok.add();
+  const double total_us = job.trace.parse_us + elapsed_us(job.t0);
+  const auto observed_us =
+      static_cast<std::uint64_t>(total_us > 0.0 ? total_us : 0.0);
+  latency.observe(observed_us);
+  // Per-strategy and per-family breakdowns.  Name lookup per request is
+  // a mutex-protected map probe.
+  obs::metrics()
+      .histogram("serve.strategy." + request.scheduler + ".latency_us")
+      .observe(observed_us);
+  obs::metrics()
+      .counter("serve.strategy." + request.scheduler + ".requests")
+      .add();
+  if (!request.family.empty()) {
+    obs::metrics()
+        .histogram("serve.family." + request.family + ".latency_us")
+        .observe(observed_us);
+    obs::metrics()
+        .counter("serve.family." + request.family + ".requests")
+        .add();
+  }
+  if (request.certify) {
+    // The hash is a pure function of the canonical bytes, so cached hits
+    // carry the same certificate hash as the original miss.
+    job.response = with_request_id(
+        ok_response(schedule_json,
+                    analysis::hash_hex(analysis::fnv1a64(schedule_json))),
+        job.trace.request_id);
+    return;
+  }
+  job.response =
+      with_request_id(ok_response(schedule_json), job.trace.request_id);
 }
 
 std::string Server::handle_submit(const SubmitRequest& request,
@@ -1039,14 +1058,8 @@ void Server::finish_request(const RequestTrace& trace, double span_begin_s,
   if (tracing) {
     // The root span is recorded last but begins first (at frame arrival);
     // exporters sort by begin time, so it parents the phase spans by time
-    // containment on this worker's track.
-    obs::Span root;
-    root.kind = obs::SpanKind::Serve;
-    root.name = "serve.request " + trace.request_id;
-    root.worker = obs::thread_context().worker;
-    root.begin_s = span_begin_s;
-    root.end_s = obs::tracer().now();
-    obs::tracer().record(std::move(root));
+    // containment on this thread's track.
+    record_serve_span("serve.request " + trace.request_id, span_begin_s);
   }
   if (options_.slow_threshold_us == 0 ||
       trace.total_us < static_cast<double>(options_.slow_threshold_us)) {

@@ -7,6 +7,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -357,6 +360,47 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("01x"), std::runtime_error);
   EXPECT_THROW(json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(json::parse("tru"), std::runtime_error);
+}
+
+TEST(Json, NumbersMatchStrtodBitForBit) {
+  // Out-of-range magnitudes (overflow, underflow below the denormals), the
+  // smallest denormal and normal, signed zero, integers past 2^53, and a
+  // 40-digit mantissa: the parsed double must carry exactly strtod's bits.
+  const char* const kNumbers[] = {
+      "1e400",
+      "-1e400",
+      "1e-400",
+      "-1e-400",
+      "4.9e-324",
+      "2.4703282292062327e-324",
+      "2.2250738585072011e-308",
+      "2.2250738585072014e-308",
+      "-0",
+      "-0.0e5",
+      "0",
+      "9007199254740993",
+      "0.1",
+      "1.7976931348623157e308",
+      "1.7976931348623159e308",
+      "1234567890123456789012345678901234567890",
+      "0.1234567890123456789012345678901234567890e-10",
+      "123E+2",
+      "-2.5",
+  };
+  for (const char* text : kNumbers) {
+    const json::Value value = json::parse(text);
+    ASSERT_TRUE(value.is_number()) << text;
+    const double expected = std::strtod(text, nullptr);
+    std::uint64_t got_bits = 0;
+    std::uint64_t expected_bits = 0;
+    std::memcpy(&got_bits, &value.number, sizeof(got_bits));
+    std::memcpy(&expected_bits, &expected, sizeof(expected_bits));
+    EXPECT_EQ(got_bits, expected_bits) << text;
+    // Inside a document too, where the number does not end the input.
+    const json::Value array = json::parse(std::string("[") + text + ",1]");
+    std::memcpy(&got_bits, &array.array[0].number, sizeof(got_bits));
+    EXPECT_EQ(got_bits, expected_bits) << text << " in an array";
+  }
 }
 
 // ---- exporters ----

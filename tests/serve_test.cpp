@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,6 +25,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ptask/analysis/certifier.hpp"
@@ -173,7 +176,7 @@ TEST(ServeProtocol, MachineCoreProductIsBoundedLikeTotalCores) {
   submit.machine = with_shape(1 << 20, 1 << 20, 1 << 20).machine;
   submit.graph = tiny_request().graph;
   try {
-    (void)parse_submit(serialize_submit(submit));
+    (void)parse_submit(obs::json::parse(serialize_submit(submit)));
     ADD_FAILURE() << "oversized machine accepted by parse_submit";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.code(), kErrBadRequest);
@@ -202,6 +205,112 @@ TEST(ServeProtocol, NearCollisionRequestsGetDistinctKeys) {
   b.graph.task(0).set_work_flop(
       std::nextafter(work, 2.0 * work));
   EXPECT_NE(canonical_key(a), canonical_key(b));
+}
+
+/// Every schedulable field of a one-comm, three-task request, so that a
+/// test can change exactly one of them.
+struct KeyFields {
+  std::string scheduler = "layer";
+  int total_cores = 8;
+  bool certify = false;
+  arch::MachineSpec machine = tiny_request().machine;
+  std::string task_name = "a";
+  double work = 1.0e8;
+  int max_cores = 4;
+  bool marker = false;
+  core::CollectiveOp comm{core::CollectiveKind::Allgather,
+                          core::CommScope::Group, 4096, 2};
+  std::pair<core::TaskId, core::TaskId> edge{0, 1};
+};
+
+ScheduleRequest request_from(const KeyFields& fields) {
+  ScheduleRequest request;
+  request.scheduler = fields.scheduler;
+  request.total_cores = fields.total_cores;
+  request.certify = fields.certify;
+  request.machine = fields.machine;
+  core::MTask task(fields.task_name, fields.work);
+  task.set_max_cores(fields.max_cores);
+  task.set_marker(fields.marker);
+  task.add_comm(fields.comm);
+  request.graph.add_task(task);
+  request.graph.add_task(core::MTask("b", 2.0e8));
+  request.graph.add_task(core::MTask("c", 3.0e8));
+  request.graph.add_edge(fields.edge.first, fields.edge.second);
+  return request;
+}
+
+TEST(ServeProtocol, EverySchedulableFieldChangesTheCanonicalKey) {
+  // A key that forgot a field would serve one request's schedule for
+  // another.  Each row changes one field by one step (doubles by one ULP);
+  // `batch` marks the fields of the batching-compatibility prefix.
+  const auto up = [](double& value) {
+    value = std::nextafter(value, std::numeric_limits<double>::infinity());
+  };
+  struct Row {
+    const char* field;
+    bool batch;
+    std::function<void(KeyFields&)> change;
+  };
+  const std::vector<Row> rows = {
+      {"scheduler", true, [](KeyFields& f) { f.scheduler = "cpa"; }},
+      {"total_cores", true, [](KeyFields& f) { ++f.total_cores; }},
+      {"certify", true, [](KeyFields& f) { f.certify = true; }},
+      {"machine.name", true, [](KeyFields& f) { f.machine.name += 'x'; }},
+      {"machine.num_nodes", true, [](KeyFields& f) { ++f.machine.num_nodes; }},
+      {"machine.procs_per_node", true,
+       [](KeyFields& f) { ++f.machine.procs_per_node; }},
+      {"machine.cores_per_proc", true,
+       [](KeyFields& f) { ++f.machine.cores_per_proc; }},
+      {"machine.core_flops", true,
+       [&](KeyFields& f) { up(f.machine.core_flops); }},
+      {"machine.core_efficiency", true,
+       [&](KeyFields& f) { up(f.machine.core_efficiency); }},
+      {"machine.omp_region_overhead_s", true,
+       [&](KeyFields& f) { up(f.machine.omp_region_overhead_s); }},
+      {"intra_processor.latency_s", true,
+       [&](KeyFields& f) { up(f.machine.intra_processor.latency_s); }},
+      {"intra_processor.bandwidth_Bps", true,
+       [&](KeyFields& f) { up(f.machine.intra_processor.bandwidth_Bps); }},
+      {"intra_node.latency_s", true,
+       [&](KeyFields& f) { up(f.machine.intra_node.latency_s); }},
+      {"intra_node.bandwidth_Bps", true,
+       [&](KeyFields& f) { up(f.machine.intra_node.bandwidth_Bps); }},
+      {"inter_node.latency_s", true,
+       [&](KeyFields& f) { up(f.machine.inter_node.latency_s); }},
+      {"inter_node.bandwidth_Bps", true,
+       [&](KeyFields& f) { up(f.machine.inter_node.bandwidth_Bps); }},
+      {"task.name", false, [](KeyFields& f) { f.task_name = "b"; }},
+      {"task.work", false, [&](KeyFields& f) { up(f.work); }},
+      {"task.max_cores", false, [](KeyFields& f) { ++f.max_cores; }},
+      {"task.marker", false, [](KeyFields& f) { f.marker = true; }},
+      {"comm.kind", false,
+       [](KeyFields& f) { f.comm.kind = core::CollectiveKind::Allreduce; }},
+      {"comm.scope", false,
+       [](KeyFields& f) { f.comm.scope = core::CommScope::Orthogonal; }},
+      {"comm.bytes", false, [](KeyFields& f) { ++f.comm.data_bytes; }},
+      {"comm.repeat", false, [](KeyFields& f) { ++f.comm.repeat; }},
+      {"edge", false, [](KeyFields& f) { f.edge = {0, 2}; }},
+  };
+  std::size_t base_batch = 0;
+  const std::string base = canonical_key(request_from({}), &base_batch);
+  ASSERT_GT(base_batch, 0u);
+  ASSERT_LT(base_batch, base.size());
+  for (const Row& row : rows) {
+    KeyFields fields;
+    row.change(fields);
+    std::size_t batch = 0;
+    const std::string key = canonical_key(request_from(fields), &batch);
+    EXPECT_NE(key, base) << row.field;
+    const bool same_batch = batch == base_batch &&
+                            key.compare(0, batch, base, 0, base_batch) == 0;
+    EXPECT_EQ(same_batch, !row.batch) << row.field;
+  }
+  // The annotations never reach the key.
+  ScheduleRequest annotated = request_from({});
+  annotated.request_id = "cli-1";
+  annotated.family = "layered";
+  EXPECT_EQ(canonical_key(annotated), base);
 }
 
 TEST(ServeProtocol, ScheduleSerializationIsDeterministic) {
@@ -525,6 +634,79 @@ TEST_F(ServeTest, RepeatedRequestIsServedFromCacheByteIdentically) {
   EXPECT_FALSE(response_schedule_json(first).empty());
   EXPECT_NE(response_request_id(first), response_request_id(second));
   EXPECT_EQ(server_->cache().hits(), 1u);
+}
+
+TEST_F(ServeTest, ReadyCacheHitsAreAnsweredWithoutTheQueue) {
+  // A hit on a completed entry is answered on the reactor thread: the cache
+  // counts it, the admission queue never sees it.
+  const std::string payload = serialize_request(tiny_request("portfolio"));
+  ASSERT_TRUE(response_ok(client_.call(payload)));  // the one miss
+  obs::Counter& hits = obs::metrics().counter("serve.cache.hit");
+  obs::Counter& enqueued = obs::metrics().counter("serve.queue.enqueued");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t enqueued_before = enqueued.value();
+  constexpr std::uint64_t kRepeats = 25;
+  for (std::uint64_t i = 0; i < kRepeats; ++i) {
+    ASSERT_TRUE(response_ok(client_.call(payload)));
+  }
+  EXPECT_EQ(hits.value(), hits_before + kRepeats);
+  EXPECT_EQ(enqueued.value(), enqueued_before);
+  EXPECT_EQ(server_->cache().hits(), kRepeats);
+  EXPECT_EQ(server_->cache().misses(), 1u);
+}
+
+/// `response` with its "request_id" member removed.
+std::string without_request_id(const std::string& response) {
+  std::string id_member = ",\"request_id\":";
+  append_json_string(id_member, response_request_id(response));
+  std::string out = response;
+  const std::size_t at = out.find(id_member);
+  if (at != std::string::npos) out.erase(at, id_member.size());
+  return out;
+}
+
+TEST_F(ServeTest, PipelinedHitsAreAnsweredInOrder) {
+  // After one warm request, 5,000 identical hit frames arrive in a single
+  // send.  The reactor answers buffered frames in a loop (no recursion per
+  // frame), in order, each byte-identical modulo its minted request id.
+  const std::string payload = serialize_request(tiny_request());
+  const std::string warm = client_.call(payload);
+  ASSERT_TRUE(response_ok(warm)) << warm;
+  const std::string expected = without_request_id(warm);
+
+  constexpr int kFrames = 5000;
+  std::string burst;
+  const std::string frame = encode_frame(payload);
+  burst.reserve(frame.size() * kFrames);
+  for (int i = 0; i < kFrames; ++i) burst += frame;
+  // The responses flow back while the burst is still being written, so the
+  // send runs on its own thread and this one reads.
+  std::atomic<bool> sent{true};
+  std::thread sender([&] {
+    try {
+      client_.send_raw(burst);
+    } catch (const std::exception&) {
+      sent = false;
+    }
+  });
+  std::uint64_t last_sequence = 0;
+  int matched = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    const std::optional<std::string> response = client_.read_response();
+    if (!response.has_value()) break;
+    if (without_request_id(*response) == expected) ++matched;
+    // Minted ids end in a process-wide sequence number: increasing
+    // sequence numbers mean the responses came back in request order.
+    const std::string id = response_request_id(*response);
+    const std::uint64_t sequence =
+        std::stoull(id.substr(id.find_last_of('-') + 1));
+    EXPECT_GT(sequence, last_sequence) << "response " << i;
+    last_sequence = sequence;
+  }
+  sender.join();
+  EXPECT_TRUE(sent.load());
+  EXPECT_EQ(matched, kFrames);
+  EXPECT_TRUE(response_ok(client_.call("{\"type\":\"ping\"}")));
 }
 
 TEST_F(ServeTest, ConcurrentIdenticalRequestsAtMostOneMiss) {
@@ -1197,7 +1379,8 @@ TEST(ServeProtocol, SessionRequestsRoundTrip) {
   SubmitRequest submit = submit_from(stream);
   submit.request_id = "req-1";
   submit.family = "layered";
-  const SubmitRequest parsed = parse_submit(serialize_submit(submit));
+  const SubmitRequest parsed =
+      parse_submit(obs::json::parse(serialize_submit(submit)));
   EXPECT_EQ(parsed.total_cores, submit.total_cores);
   EXPECT_EQ(parsed.graph.num_tasks(), submit.graph.num_tasks());
   EXPECT_EQ(parsed.graph.num_edges(), submit.graph.num_edges());
@@ -1210,7 +1393,8 @@ TEST(ServeProtocol, SessionRequestsRoundTrip) {
   extend.session = "sess-x";
   extend.delta = stream.deltas.front();
   extend.request_id = "req-2";
-  const ExtendRequest extend_parsed = parse_extend(serialize_extend(extend));
+  const ExtendRequest extend_parsed =
+      parse_extend(obs::json::parse(serialize_extend(extend)));
   EXPECT_EQ(extend_parsed.session, "sess-x");
   EXPECT_EQ(extend_parsed.request_id, "req-2");
   EXPECT_EQ(extend_parsed.delta.release_time, extend.delta.release_time);
@@ -1228,7 +1412,8 @@ TEST(ServeProtocol, SessionRequestsRoundTrip) {
   CloseRequest close;
   close.session = "sess-x";
   close.request_id = "req-3";
-  const CloseRequest close_parsed = parse_close(serialize_close(close));
+  const CloseRequest close_parsed =
+      parse_close(obs::json::parse(serialize_close(close)));
   EXPECT_EQ(close_parsed.session, "sess-x");
   EXPECT_EQ(close_parsed.request_id, "req-3");
 }

@@ -494,18 +494,22 @@ int self_check(const Frame& frame, std::uint64_t issued,
                 " < latency count " + std::to_string(frame.latency_count));
     }
   }
-  // Queue panel: every frame the burst issued was admitted through the
-  // queue (the burst is far below the default bound, so none rejected),
-  // and every admitted job observed its wait time when a worker took it.
+  // Queue panel: every frame the burst issued was either admitted through
+  // the queue or answered on the reactor as a ready cache hit, which skips
+  // the queue (the burst is far below the default bound, so none
+  // rejected), and every admitted job observed its wait time when a worker
+  // took it.
   check(frame.queue_max > 0, "queue max not reported");
-  check(frame.queue_enqueued >= issued,
+  check(frame.queue_enqueued + frame.cache_hits >= issued,
         "queue enqueued " + std::to_string(frame.queue_enqueued) +
+            " + cache hits " + std::to_string(frame.cache_hits) +
             " < issued " + std::to_string(issued));
   check(frame.queue_rejected == 0,
         "burst below the queue bound still saw rejections");
-  check(frame.queue_wait.count >= issued,
+  check(frame.queue_wait.count + frame.cache_hits >= issued,
         "queue wait histogram count " +
-            std::to_string(frame.queue_wait.count) + " < issued " +
+            std::to_string(frame.queue_wait.count) + " + cache hits " +
+            std::to_string(frame.cache_hits) + " < issued " +
             std::to_string(issued));
   // Batch panel consistency: a batch run coalesces at least two requests,
   // and the size histogram tallies every scheduler invocation (singleton
