@@ -65,8 +65,8 @@ void BM_LayerScheduler(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerScheduler)->Arg(64)->Arg(256)->Arg(1024);
 
-// Large fuzz-family instances for the scheduler hot-path benchmarks
-// (ISSUE: memoized costs, heap LPT, pruned group search, parallel layers).
+// Large fuzz-family instances for the scheduler hot-path benchmarks (time
+// rows, heap LPT, pruned group search, parallel layers).
 // Seeds were probed so the graphs land in the 5k-50k task range with wide
 // layers; edge density is kept low so graph construction stays cheap
 // relative to scheduling.
@@ -102,7 +102,7 @@ void BM_LayerSchedulerLarge(benchmark::State& state) {
   const arch::Machine m = machine(cores / 64);
   const cost::CostModel cost(m);
   const core::TaskGraph& g = large_layered_graph();
-  const sched::LayerScheduler scheduler(cost);  // all optimizations on
+  const sched::LayerScheduler scheduler(cost);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scheduler.schedule(g, cores));
   }
@@ -234,32 +234,6 @@ void BM_IncrementalExtend(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalExtend)->Arg(4096)->Iterations(16)->Repetitions(1)
     ->Unit(benchmark::kMillisecond);
-
-// The optimization-disabled reference path on the same instance -- the
-// denominator of the speedup recorded in BENCH_micro.json.  Pinned to one
-// iteration and one repetition (overriding --benchmark_repetitions): the
-// naive group search on 50k tasks x 4096 cores takes ~40 s, and a single
-// sample is plenty for a >20x headline ratio.
-void BM_LayerSchedulerLargeBaseline(benchmark::State& state) {
-  const int cores = static_cast<int>(state.range(0));
-  const arch::Machine m = machine(cores / 64);
-  const cost::CostModel cost(m);
-  const core::TaskGraph& g = large_layered_graph();
-  sched::LayerSchedulerOptions options;
-  options.cost_cache = false;
-  options.heap_lpt = false;
-  options.prune_group_search = false;
-  options.parallel_layers = 1;
-  const sched::LayerScheduler scheduler(cost, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(g, cores));
-  }
-  state.counters["tasks"] = static_cast<double>(g.num_tasks());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(g.num_tasks()));
-}
-BENCHMARK(BM_LayerSchedulerLargeBaseline)->Arg(4096)->Iterations(1)
-    ->Repetitions(1)->Unit(benchmark::kMillisecond);
 
 void BM_PortfolioScheduleLarge(benchmark::State& state) {
   const int cores = static_cast<int>(state.range(0));

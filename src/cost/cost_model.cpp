@@ -85,6 +85,13 @@ double CostModel::symbolic_task_time(const core::MTask& task, int q,
          symbolic_comm_time(task, q, num_groups, total_cores);
 }
 
+bool CostModel::depends_on_num_groups(const core::MTask& task) {
+  for (const core::CollectiveOp& op : task.comms()) {
+    if (op.scope == core::CommScope::Orthogonal) return true;
+  }
+  return false;
+}
+
 net::MessageSchedule CostModel::collective_schedule(
     const core::CollectiveOp& op, int q) {
   if (q <= 1) return {};

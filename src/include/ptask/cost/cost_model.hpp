@@ -51,7 +51,6 @@ struct LayerLayout {
 class CostModel {
  public:
   explicit CostModel(arch::Machine machine);
-  virtual ~CostModel() = default;
 
   const arch::Machine& machine() const { return machine_; }
 
@@ -67,12 +66,15 @@ class CostModel {
   double symbolic_comm_time(const core::MTask& task, int q, int num_groups,
                             int total_cores) const;
 
-  /// Tsymb(M, q) = compute + comm (paper Section 3.2).  Virtual so that
-  /// memoizing wrappers (cost::CachedCostModel) can substitute for the
-  /// plain model on scheduler hot paths; any override must return the
-  /// bit-identical value this implementation computes.
-  virtual double symbolic_task_time(const core::MTask& task, int q,
-                                    int num_groups, int total_cores) const;
+  /// Tsymb(M, q) = compute + comm (paper Section 3.2).
+  double symbolic_task_time(const core::MTask& task, int q, int num_groups,
+                            int total_cores) const;
+
+  /// Whether the task's symbolic time depends on `num_groups`: only
+  /// Orthogonal-scope collectives are sized by the concurrent group count,
+  /// so the times of every other task are shared by all candidate group
+  /// counts with the same group size.
+  static bool depends_on_num_groups(const core::MTask& task);
 
   // ---- mapped costs (placement-aware) ----
 

@@ -1,28 +1,23 @@
 #pragma once
 /// \file batch.hpp
-/// Shared-pricing scheduler for batches of compatible requests.
+/// One scheduler shared by a batch of compatible requests.
 ///
 /// The serving layer coalesces schedule requests that dequeue together and
 /// agree on (strategy, machine, total_cores, certify) but differ in graph.
-/// Running them through one `BatchScheduler` prices every member over a
-/// single content-keyed `CachedCostModel`: a task that appears in several
-/// graphs of the batch (identical work/max_cores/collectives) is priced
-/// exactly once, and every later evaluation -- in any member -- returns the
-/// stored double.  Because the cache is bit-transparent (the memoized value
-/// IS the base model's value), each member's schedule is byte-identical to
-/// an unbatched run of the same strategy over a plain CostModel; the serve
+/// A `BatchScheduler` resolves the strategy once and runs every member over
+/// one plain `CostModel` of the batch's machine, so each member's schedule
+/// is byte-identical to an unbatched run of the same strategy; the serve
 /// tests and the loadgen oracle enforce that equivalence end to end.
+/// Members share no pricing: each run evaluates its own graph's costs.
 ///
-/// Thread safety: `run` is safe to call concurrently (the underlying cache
-/// is sharded and schedulers are stateless per run), but the serving layer
-/// runs batch members sequentially on one worker -- the win is amortized
-/// pricing, not intra-batch parallelism (the portfolio already parallelizes
-/// across strategies internally).
+/// Thread safety: `run` is safe to call concurrently (schedulers are
+/// stateless per run), but the serving layer runs batch members
+/// sequentially on one worker.
 
 #include <memory>
 #include <string>
 
-#include "ptask/cost/cached_model.hpp"
+#include "ptask/cost/cost_model.hpp"
 #include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/schedule.hpp"
 
@@ -30,27 +25,22 @@ namespace ptask::sched {
 
 class BatchScheduler {
  public:
-  /// Builds the shared pricing cache over `base`'s machine and resolves
-  /// `strategy` from the SchedulerRegistry (throws std::invalid_argument
-  /// for unknown names, like SchedulerRegistry::make).
+  /// Copies `base` into the batch's cost model and resolves `strategy` from
+  /// the SchedulerRegistry (throws std::invalid_argument for unknown names,
+  /// like SchedulerRegistry::make).
   BatchScheduler(const std::string& strategy, const cost::CostModel& base);
 
-  /// Schedules one batch member.  Bit-identical to an unbatched run of the
-  /// same strategy; repeated task content across calls hits the shared
-  /// pricing cache.
+  /// Schedules one batch member; bit-identical to an unbatched run of the
+  /// same strategy.
   Schedule run(const core::TaskGraph& graph, int total_cores) const;
 
   const std::string& strategy() const { return strategy_; }
 
-  /// Shared pricing-cache accounting (across every run so far).
-  std::uint64_t pricing_hits() const { return cached_.hits(); }
-  std::uint64_t pricing_misses() const { return cached_.misses(); }
-
  private:
   std::string strategy_;
   /// Declared before scheduler_: the scheduler keeps a reference to the
-  /// cache for its whole lifetime.
-  cost::CachedCostModel cached_;
+  /// model for its whole lifetime.
+  cost::CostModel cost_;
   std::unique_ptr<Scheduler> scheduler_;
 };
 

@@ -20,7 +20,9 @@
 /// Since the pass-based refactor, LayerScheduler is a thin facade over
 /// `Pipeline::algorithm1` (pipeline.hpp); each step above is a reusable
 /// `Pass` and the facade merely preserves the historical LayeredSchedule
-/// return type.
+/// return type.  Step 3 skips the group counts that provably cannot win and
+/// stops a losing assignment early; the result is byte-identical to trying
+/// every g (docs/SCHEDULING.md, "Scheduler hot-path performance").
 
 #include "ptask/cost/cost_model.hpp"
 #include "ptask/sched/schedule.hpp"
@@ -41,26 +43,6 @@ struct LayerSchedulerOptions {
   /// Contract linear chains before layering.
   bool contract_chains = true;
 
-  // ---- performance knobs ----
-  // All four are bit-transparent by contract: enabling any combination
-  // must produce the byte-identical schedule of the all-disabled path
-  // (docs/SCHEDULING.md, "Scheduler hot-path performance").  They exist so
-  // the differential property tests can pin each optimization against the
-  // naive reference, and default to on.
-
-  /// Memoize symbolic task times through a per-invocation
-  /// cost::CachedCostModel shared by every pass and the canonical Gantt
-  /// lowering (and reuse a caller-provided cache, e.g. the portfolio's).
-  bool cost_cache = true;
-  /// Assign tasks via an index min-heap over group loads (O(n log g))
-  /// instead of a least-loaded linear scan (O(n g)); ties break towards
-  /// the lowest group index exactly like the scan.
-  bool heap_lpt = true;
-  /// Skip group-count candidates whose lower bound (compute share, or the
-  /// per-task minimum over the candidate's two group sizes) already meets
-  /// the incumbent layer time, and stop a candidate's assignment once a
-  /// group load reaches it.
-  bool prune_group_search = true;
   /// Schedule independent layers on up to this many threads (<= 1 runs
   /// serially; layers are independent and tie-breaking is per-layer, so
   /// the parallel path is bit-identical to the serial one).

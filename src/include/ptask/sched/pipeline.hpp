@@ -76,13 +76,10 @@ struct PassContext {
   int total_cores = 0;
   LayerSchedulerOptions options;
 
-  /// The model passes should price through: the invocation's shared
-  /// cost::CachedCostModel when options.cost_cache is on (owned below, or
-  /// a caller-provided cache such as the portfolio's), otherwise `cost`.
-  /// Null in hand-built contexts; passes fall back to `cost`.
+  /// Equal to `cost` in contexts from Pipeline::make_context (null in
+  /// hand-built ones).  The passes price through `cost`; this alias is kept
+  /// only for callers that still read it.
   const cost::CostModel* pricing = nullptr;
-  /// Keeps a pipeline-created cache alive for the invocation.
-  std::shared_ptr<const cost::CostModel> owned_cache;
 
   /// Settled per-layer memo from a previous invocation (empty on the first
   /// run).  AssignLPT reuses every layer whose content signature matches an
@@ -190,9 +187,9 @@ class Pipeline final : public Scheduler {
   LayeredSchedule run_layered(const core::TaskGraph& graph,
                               int total_cores) const;
 
-  /// Builds a fresh context for `graph` (installs the invocation's pricing
-  /// cache per the options).  Public so re-entrant callers (the incremental
-  /// scheduler, tests) can thread memo state between invocations.
+  /// Builds a fresh context for `graph`.  Public so re-entrant callers (the
+  /// incremental scheduler, tests) can thread memo state between
+  /// invocations.
   PassContext make_context(const core::TaskGraph& graph,
                            int total_cores) const;
 

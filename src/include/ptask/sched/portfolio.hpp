@@ -42,19 +42,6 @@ struct PortfolioOptions {
   /// portfolio itself.
   std::vector<std::string> strategies;
   PortfolioMetric metric = PortfolioMetric::SymbolicMakespan;
-  /// Run the strategies in concurrent threads (the schedulers are const and
-  /// thread-safe; tracing is per-thread).
-  bool parallel = false;
-  /// Price every strategy through one shared cost::CachedCostModel.  The
-  /// cache keys on task *content* fingerprints, so it pays off when the
-  /// graph repeats tasks (ODE/NPB step graphs: ~78% hit rate measured on
-  /// pabm) and the strategies re-price the same (task, group size) pairs.
-  /// On large graphs of all-distinct tasks it is a measured pessimization
-  /// (0.2% hit rate and ~4x slower mcpa on a 6k-task fuzz instance --
-  /// millions of never-repeating keys pay the insert overhead for
-  /// nothing), hence off by default.  Bit-transparent either way: cached
-  /// times are the same doubles the plain model computes.
-  bool shared_cost_cache = false;
 };
 
 /// One row of the portfolio scoreboard.

@@ -2,14 +2,13 @@
 /// \file schedule_cache.hpp
 /// Sharded whole-schedule memo of the scheduling service.
 ///
-/// The cache generalizes `cost::CachedCostModel`'s content-fingerprint idea
-/// from single task times to whole schedules: the key is the request's
-/// *canonical key*, a binary encoding of its scheduler name, core count,
-/// certify flag, machine spec, and the full graph including every task
-/// weight (see `serve::canonical_key`), so two requests share an entry iff
-/// their content is identical.  The full key string is compared on lookup
-/// (the hash only picks the shard and bucket), so near-collision requests
-/// -- same shape, one weight different -- can never alias.
+/// The key is the request's *canonical key*, a binary encoding of its
+/// scheduler name, core count, certify flag, machine spec, and the full
+/// graph including every task weight (see `serve::canonical_key`), so two
+/// requests share an entry iff their content is identical.  The full key
+/// string is compared on lookup (the hash only picks the shard and bucket),
+/// so near-collision requests -- same shape, one weight different -- can
+/// never alias.
 ///
 /// Entries are *single-flight*: when N threads ask for the same absent key
 /// concurrently, exactly one runs the compute function while the others

@@ -23,10 +23,10 @@
 /// scheduler run process-wide and every response carries byte-identical
 /// schedule bytes.  Requests that dequeue together and agree on
 /// (scheduler, total_cores, certify, machine) -- the prefix of their keys --
-/// but differ in graph are *batched*: they run through one
-/// `sched::BatchScheduler` whose content-keyed pricing cache is shared
-/// across the members, amortizing cost-model evaluations -- with responses
-/// byte-identical to unbatched execution (the cache is bit-transparent).
+/// but differ in graph are *batched*: they run back to back on one worker
+/// through one `sched::BatchScheduler`, which resolves the strategy once
+/// and shares no pricing between members, so responses are byte-identical
+/// to unbatched execution.
 ///
 /// Shutdown is graceful and prompt (eventfd wakeups, no poll timeouts):
 /// `stop()` closes the listener, lets the workers drain every admitted
@@ -124,8 +124,7 @@ struct ServerOptions {
   /// Backoff hint carried in PTS008 responses.
   std::uint64_t overload_retry_after_ms = 100;
   /// Upper bound on requests one worker dequeues together (compatible
-  /// schedule requests among them are coalesced into one shared-pricing
-  /// batch).  1 disables batching.
+  /// schedule requests among them run as one batch).  1 disables batching.
   int batch_max = 8;
   /// Optional wait after the first dequeue for more requests to arrive and
   /// join the batch, in microseconds.  0 (default) batches only what is

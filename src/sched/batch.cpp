@@ -7,8 +7,8 @@ namespace ptask::sched {
 BatchScheduler::BatchScheduler(const std::string& strategy,
                                const cost::CostModel& base)
     : strategy_(strategy),
-      cached_(base, cost::CachedCostModel::KeyMode::Content),
-      scheduler_(SchedulerRegistry::instance().make(strategy, cached_)) {}
+      cost_(base),
+      scheduler_(SchedulerRegistry::instance().make(strategy, cost_)) {}
 
 Schedule BatchScheduler::run(const core::TaskGraph& graph,
                              int total_cores) const {

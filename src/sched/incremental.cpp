@@ -100,9 +100,8 @@ const Schedule& IncrementalScheduler::extend(const GraphDelta& delta) {
     throw DeltaError(error.what());
   }
 
-  // Fresh context per extend: the pricing cache keys on task addresses,
-  // which the graph copy invalidated.  The memo moves through the context
-  // (in before the run, back out after), making the pipeline re-entrant.
+  // The memo moves through a fresh context (in before the run, back out
+  // after), making the pipeline re-entrant.
   PassContext ctx = pipeline_.make_context(next, total_cores_);
   ctx.memo = std::move(memo_);
   Schedule result;

@@ -12,27 +12,12 @@
 #include <unordered_map>
 #include <utility>
 
-#include "ptask/cost/cached_model.hpp"
 #include "ptask/obs/metrics.hpp"
 #include "ptask/obs/trace.hpp"
 
 namespace ptask::sched {
 
 namespace {
-
-/// Non-virtual evaluation target for the layer sweep's row fills: calling
-/// `model.BaseModel::symbolic_task_time(...)` computes the plain-model
-/// double directly, bypassing CachedCostModel's shard lock and insert for
-/// keys the per-layer row memo already deduplicates (and that would never
-/// repeat in the shared cache anyway).
-using BaseModel = cost::CostModel;
-
-/// The model passes price through: the invocation's memoizing cache when
-/// the pipeline installed one, the plain cost model otherwise (hand-built
-/// contexts).  Either way the returned values are bit-identical.
-const cost::CostModel& pricing_model(const PassContext& ctx) {
-  return ctx.pricing != nullptr ? *ctx.pricing : *ctx.cost;
-}
 
 /// Per-layer working buffers, reused across the candidate group counts of
 /// the layer (and across layers of one worker) so the candidate loop does
@@ -65,7 +50,6 @@ struct LayerScratch {
   std::vector<double> time;           ///< patched times at the large size
   std::vector<double> time_lo;        ///< patched times at the small size
   std::vector<double> replay_time;    ///< patched times of a replayed sort
-  std::vector<double> accumulated;    ///< scan-mode group loads
   std::vector<int> task_group;        ///< candidate assignment
   std::vector<std::pair<double, int>> heap;  ///< (load, group) min-heap
   /// Group size q -> shared row.  Valid for tasks without orthogonal
@@ -96,12 +80,13 @@ bool monotone_time(double t) {
 /// One layer of Algorithm 1: evaluate every candidate group count with an
 /// equal core split and the modified Sahni greedy assignment, keep the best.
 ///
-/// Bit-identity contract: for any combination of the LayerSchedulerOptions
-/// performance knobs this computes the byte-identical ScheduledLayer of the
-/// historical monolith (tests/pipeline_test.cpp pins it against a verbatim
-/// copy).  The monolith std::sorts one carried LPT order by each candidate's
-/// times in turn, and std::sort is unstable, so that history decides where
-/// equal-time tasks land.  The invariants that make the result identical:
+/// Bit-identity contract: this computes the byte-identical ScheduledLayer
+/// of the historical monolith, which priced, sorted and assigned every
+/// candidate in full (tests/reference_layer_scheduler.hpp pins it against a
+/// verbatim copy).  The monolith std::sorts one carried LPT order by each
+/// candidate's times in turn, and std::sort is unstable, so that history
+/// decides where equal-time tasks land.  The invariants that make the
+/// result identical:
 ///  * a candidate's order is built only when it runs LPT.  When its keys
 ///    are pairwise strictly ordered the descending order is unique, whatever
 ///    the history, and is built directly: one sorted order of the tasks
@@ -111,7 +96,7 @@ bool monotone_time(double t) {
 ///    last order built, pruned candidates included;
 ///  * the heap pops the lowest-index minimum load, exactly the group
 ///    std::min_element scans to;
-///  * memoized times are the same doubles the plain model computes;
+///  * a row holds the same doubles the cost model computes per call;
 ///  * pruning uses true lower bounds, so a pruned candidate can never have
 ///    beaten the incumbent: the compute share at the largest group size
 ///    (the averaged bound is deflated by the worst-case summation error),
@@ -123,14 +108,11 @@ bool monotone_time(double t) {
 ///    thrown away.
 /// The full-time bound and the abort apply only when every time of the
 /// candidate is finite and non-negative, which keeps group loads monotone.
-/// The cost_cache=false path keeps the monolith's shape (every candidate
-/// sorted, compute-bound pruning only, complete LPT runs) as the reference.
 ScheduledLayer schedule_layer(const core::TaskGraph& graph,
                               const std::vector<core::TaskId>& tasks,
                               const std::vector<int>& candidates, int P,
-                              const cost::CostModel& cost,
-                              const LayerSchedulerOptions& opt,
-                              LayerScratch& s, PruneStats& stats) {
+                              const cost::CostModel& cost, LayerScratch& s,
+                              PruneStats& stats) {
   const std::size_t n = tasks.size();
   ScheduledLayer best;
   if (candidates.empty()) return best;
@@ -143,31 +125,23 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
   s.plain.clear();
   s.ortho.clear();
   s.plain_order_q = 0;
-  const bool cached = opt.cost_cache;
-  if (cached) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cost::CachedCostModel::depends_on_num_groups(graph.task(tasks[i]))) {
-        s.ortho.push_back(i);
-      } else {
-        s.plain.push_back(i);
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cost::CostModel::depends_on_num_groups(graph.task(tasks[i]))) {
+      s.ortho.push_back(i);
+    } else {
+      s.plain.push_back(i);
     }
   }
 
-  // Fills (once) the shared time row for group size q.  Row fills and
-  // orthogonal-task prices call the base model non-virtually: the rows ARE
-  // the memo here, and routing millions of never-repeating (task, q, g)
-  // keys through the shared CachedCostModel would be pure shard-lock and
-  // hash-insert overhead.  The qualified call computes the exact same
-  // doubles the cache would have stored.
+  // Fills (once) the shared time row for group size q: the rows are the
+  // layer's memo of symbolic task times.
   const auto shared_row = [&](int q, int g) -> const LayerScratch::Row& {
     auto [it, inserted] = s.rows.try_emplace(q);
     LayerScratch::Row& row = it->second;
     if (inserted) {
       row.time.assign(n, 0.0);
       for (const std::size_t i : s.plain) {
-        row.time[i] =
-            cost.BaseModel::symbolic_task_time(graph.task(tasks[i]), q, g, P);
+        row.time[i] = cost.symbolic_task_time(graph.task(tasks[i]), q, g, P);
         row.monotone = row.monotone && monotone_time(row.time[i]);
       }
     }
@@ -176,8 +150,8 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
   const auto price_ortho = [&](int q, int g, std::vector<double>& into) {
     into.resize(s.ortho.size());
     for (std::size_t k = 0; k < s.ortho.size(); ++k) {
-      into[k] = cost.BaseModel::symbolic_task_time(
-          graph.task(tasks[s.ortho[k]]), q, g, P);
+      into[k] =
+          cost.symbolic_task_time(graph.task(tasks[s.ortho[k]]), q, g, P);
     }
   };
   // The layer's times at group size q: the shared row, or its copy in
@@ -274,116 +248,72 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
     const int q_lo = P / g;
     const int rem = P % g;
     const int q_top = rem > 0 ? q_lo + 1 : q_lo;  // == equal_group_sizes[0]
-    const bool bounded = opt.prune_group_search &&
-                         best_time < std::numeric_limits<double>::infinity();
-
-    // Times at the first (largest) group size drive the LPT order.
-    const double* time_top = nullptr;
-    const double* time_lo = nullptr;
-    bool abortable = false;
-    if (cached) {
-      if (bounded && compute_bound(q_top, g) >= best_time) {
-        ++stats.pruned;
-        continue;
-      }
-      price_ortho(q_top, g, s.ortho_top);
-      if (rem > 0) {
-        price_ortho(q_lo, g, s.ortho_lo);
-      } else {
-        s.ortho_lo = s.ortho_top;
-      }
-      if (bounded) {
-        const LayerScratch::TimeBound bound = time_bound(q_lo, q_top, g);
-        if (bound.monotone && bound.bound >= best_time) {
-          ++stats.pruned;
-          continue;
-        }
-        abortable = bound.monotone;
-      }
-      time_top = times_at(q_top, g, s.ortho_top, s.time);
-      time_lo = rem > 0 ? times_at(q_lo, g, s.ortho_lo, s.time_lo) : time_top;
-      if (unique_order(q_top, time_top)) {
-        s.order.swap(s.fresh);
-      } else {
-        for (; sorted < c; ++sorted) {
-          const int g_k = candidates[sorted];
-          const int q_k = (P + g_k - 1) / g_k;  // that candidate's q_top
-          price_ortho(q_k, g_k, s.replay_ortho);
-          sort_by(times_at(q_k, g_k, s.replay_ortho, s.replay_time));
-        }
-        sort_by(time_top);
-      }
-      sorted = c + 1;
-    } else {
-      s.time.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        s.time[i] = cost.symbolic_task_time(graph.task(tasks[i]), q_top, g, P);
-      }
-      time_top = s.time.data();
-      sort_by(time_top);
-      if (bounded && compute_bound(q_top, g) >= best_time) {
-        ++stats.pruned;
-        continue;
-      }
+    const bool bounded = best_time < std::numeric_limits<double>::infinity();
+    if (bounded && compute_bound(q_top, g) >= best_time) {
+      ++stats.pruned;
+      continue;
     }
+    price_ortho(q_top, g, s.ortho_top);
+    if (rem > 0) {
+      price_ortho(q_lo, g, s.ortho_lo);
+    } else {
+      s.ortho_lo = s.ortho_top;
+    }
+    bool abortable = false;
+    if (bounded) {
+      const LayerScratch::TimeBound bound = time_bound(q_lo, q_top, g);
+      if (bound.monotone && bound.bound >= best_time) {
+        ++stats.pruned;
+        continue;
+      }
+      abortable = bound.monotone;
+    }
+    // Times at the first (largest) group size drive the LPT order.
+    const double* time_top = times_at(q_top, g, s.ortho_top, s.time);
+    const double* time_lo =
+        rem > 0 ? times_at(q_lo, g, s.ortho_lo, s.time_lo) : time_top;
+    if (unique_order(q_top, time_top)) {
+      s.order.swap(s.fresh);
+    } else {
+      for (; sorted < c; ++sorted) {
+        const int g_k = candidates[sorted];
+        const int q_k = (P + g_k - 1) / g_k;  // that candidate's q_top
+        price_ortho(q_k, g_k, s.replay_ortho);
+        sort_by(times_at(q_k, g_k, s.replay_ortho, s.replay_time));
+      }
+      sort_by(time_top);
+    }
+    sorted = c + 1;
     ++stats.evaluated;
 
+    // Greedy assignment via a (load, group) min-heap: the heap minimum
+    // under lexicographic pair order is the lowest-index minimum load --
+    // exactly what the monolith's std::min_element scan picks -- and each
+    // group accumulates the same time sequence, so the assignment is
+    // bit-identical at O(n log g) instead of O(n g).
     s.task_group.assign(n, 0);
-    double layer_time = 0.0;
+    s.heap.clear();
+    for (int gi = 0; gi < g; ++gi) s.heap.emplace_back(0.0, gi);
+    // All-zero loads with ascending indices already form a min-heap.
     bool aborted = false;
-    if (opt.heap_lpt) {
-      // Greedy assignment via a (load, group) min-heap: the heap minimum
-      // under lexicographic pair order is the lowest-index minimum load --
-      // exactly what the linear scan's std::min_element picks -- and each
-      // group accumulates the same time sequence, so the assignment is
-      // bit-identical at O(n log g) instead of O(n g).
-      s.heap.clear();
-      for (int gi = 0; gi < g; ++gi) s.heap.emplace_back(0.0, gi);
-      // All-zero loads with ascending indices already form a min-heap.
-      for (const std::size_t i : s.order) {
-        std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-        auto& [load, gi] = s.heap.back();
-        const double t =
-            cached ? (gi < rem ? time_top[i] : time_lo[i])
-                   : cost.symbolic_task_time(graph.task(tasks[i]),
-                                             q_lo + (gi < rem ? 1 : 0), g, P);
-        load += t;
-        s.task_group[i] = gi;
-        if (abortable && load >= best_time) {
-          aborted = true;
-          break;
-        }
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+    for (const std::size_t i : s.order) {
+      std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+      auto& [load, gi] = s.heap.back();
+      load += gi < rem ? time_top[i] : time_lo[i];
+      s.task_group[i] = gi;
+      if (abortable && load >= best_time) {
+        aborted = true;
+        break;
       }
-      for (const auto& [load, gi] : s.heap) {
-        layer_time = std::max(layer_time, load);
-      }
-    } else {
-      // Reference path: each task onto the group with the smallest
-      // accumulated execution time (modified Sahni algorithm, line 10).
-      s.accumulated.assign(static_cast<std::size_t>(g), 0.0);
-      for (const std::size_t i : s.order) {
-        const std::size_t target = static_cast<std::size_t>(
-            std::min_element(s.accumulated.begin(), s.accumulated.end()) -
-            s.accumulated.begin());
-        const int gi = static_cast<int>(target);
-        const double t =
-            cached ? (gi < rem ? time_top[i] : time_lo[i])
-                   : cost.symbolic_task_time(graph.task(tasks[i]),
-                                             q_lo + (gi < rem ? 1 : 0), g, P);
-        s.accumulated[target] += t;
-        s.task_group[i] = gi;
-        if (abortable && s.accumulated[target] >= best_time) {
-          aborted = true;
-          break;
-        }
-      }
-      layer_time =
-          *std::max_element(s.accumulated.begin(), s.accumulated.end());
+      std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
     }
     if (aborted) {
       ++stats.aborted;
       continue;
+    }
+    double layer_time = 0.0;
+    for (const auto& [load, gi] : s.heap) {
+      layer_time = std::max(layer_time, load);
     }
 
     if (layer_time < best_time) {
@@ -513,7 +443,7 @@ void AssignLPT::run(PassContext& ctx) const {
 
   const core::TaskGraph& contracted = ctx.contraction.contracted;
   const int P = ctx.total_cores;
-  const cost::CostModel& cost = pricing_model(ctx);
+  const cost::CostModel& cost = *ctx.cost;
   const std::size_t n_layers = ctx.layer_tasks.size();
   ctx.layers.clear();
   ctx.layers.resize(n_layers);
@@ -593,8 +523,7 @@ void AssignLPT::run(PassContext& ctx) const {
       }
       ctx.layers[li] =
           schedule_layer(contracted, ctx.layer_tasks[li],
-                         ctx.group_candidates[li], P, cost, ctx.options,
-                         scratch, stats);
+                         ctx.group_candidates[li], P, cost, scratch, stats);
     }
   };
 
@@ -650,7 +579,7 @@ void AdjustGroups::run(PassContext& ctx) const {
   if (!ctx.options.adjust_group_sizes) return;
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.adjust");
   const core::TaskGraph& contracted = ctx.contraction.contracted;
-  const cost::CostModel& cost = pricing_model(ctx);
+  const cost::CostModel& cost = *ctx.cost;
   const int P = ctx.total_cores;
   for (std::size_t li = 0; li < ctx.layers.size(); ++li) {
     ScheduledLayer& layer = ctx.layers[li];
@@ -710,19 +639,7 @@ PassContext Pipeline::make_context(const core::TaskGraph& graph,
   ctx.cost = cost_;
   ctx.total_cores = total_cores;
   ctx.options = options_;
-  if (options_.cost_cache) {
-    if (dynamic_cast<const cost::CachedCostModel*>(cost_) != nullptr) {
-      // The caller already prices through a cache (e.g. the portfolio's
-      // shared one); reuse it instead of stacking a second level.
-      ctx.pricing = cost_;
-    } else {
-      auto cache = std::make_shared<cost::CachedCostModel>(*cost_);
-      ctx.pricing = cache.get();
-      ctx.owned_cache = std::move(cache);
-    }
-  } else {
-    ctx.pricing = cost_;
-  }
+  ctx.pricing = cost_;
   return ctx;
 }
 
@@ -738,10 +655,7 @@ Schedule Pipeline::run(const core::TaskGraph& graph, int total_cores) const {
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.schedule");
   PassContext ctx = make_context(graph, total_cores);
   for (const std::unique_ptr<Pass>& pass : passes_) pass->run(ctx);
-  // Price the Gantt lowering through the same memo the passes filled (the
-  // contraction's task addresses are stable across the move).
-  Schedule result =
-      canonical(finalize_layered(ctx), pricing_model(ctx), name_);
+  Schedule result = canonical(finalize_layered(ctx), *cost_, name_);
   result.layouts = std::move(ctx.layouts);
   result.notes = std::move(ctx.notes);
   return result;
@@ -758,7 +672,7 @@ Schedule Pipeline::run_with_context(PassContext& ctx) const {
   // full re-schedule -- to_gantt then runs the identical accumulation
   // arithmetic either way.
   const core::TaskGraph& contracted = ctx.contraction.contracted;
-  const cost::CostModel& cost = pricing_model(ctx);
+  const cost::CostModel& cost = *ctx.cost;
   const int P = ctx.total_cores;
   std::vector<double> time_of(
       static_cast<std::size_t>(contracted.num_tasks()), 0.0);

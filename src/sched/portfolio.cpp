@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "ptask/cost/cached_model.hpp"
 #include "ptask/map/mapping.hpp"
 #include "ptask/obs/metrics.hpp"
 #include "ptask/obs/trace.hpp"
@@ -120,35 +117,10 @@ Schedule PortfolioScheduler::run(const core::TaskGraph& graph,
     throw std::runtime_error("portfolio has no strategies to run");
   }
 
-  // One memo shared by every strategy (and, through make_context reuse, by
-  // every layer-pipeline invocation): the candidates largely price the same
-  // (task, group size) pairs, so cross-strategy reuse is where the cache
-  // pays off.  CachedCostModel is internally synchronized, so the parallel
-  // path shares it too.
-  std::optional<cost::CachedCostModel> shared_cache;
-  const cost::CostModel* pricing = cost_;
-  if (options_.shared_cost_cache &&
-      dynamic_cast<const cost::CachedCostModel*>(cost_) == nullptr) {
-    shared_cache.emplace(*cost_);
-    pricing = &*shared_cache;
-  }
-
   std::vector<Candidate> candidates(strategies.size());
-  if (options_.parallel && strategies.size() > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(strategies.size());
-    for (std::size_t i = 0; i < strategies.size(); ++i) {
-      workers.emplace_back([&, i] {
-        candidates[i] = run_strategy(strategies[i], graph, total_cores,
-                                     *pricing, options_.metric);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (std::size_t i = 0; i < strategies.size(); ++i) {
-      candidates[i] = run_strategy(strategies[i], graph, total_cores,
-                                   *pricing, options_.metric);
-    }
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    candidates[i] = run_strategy(strategies[i], graph, total_cores, *cost_,
+                                 options_.metric);
   }
 
   // Pick the best score; ties break towards the earlier strategy.

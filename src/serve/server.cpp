@@ -497,9 +497,8 @@ void Server::worker_loop(int worker_index) {
 
     // Coalesce compatible schedule requests: same (scheduler, total_cores,
     // certify, machine), different graphs -- the requests whose canonical
-    // keys share the batching prefix.  Members run sequentially over one
-    // shared content-keyed pricing cache; the map orders the groups
-    // deterministically.
+    // keys share the batching prefix.  Members run sequentially through one
+    // BatchScheduler; the map orders the groups deterministically.
     std::map<std::string_view, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (jobs[i].response.empty()) {
@@ -724,8 +723,8 @@ void Server::execute_schedule(RequestJob& job,
                                         "]",
                                     phase_schedule, trace.schedule_us);
           if (batch != nullptr) {
-            // Batched: price over the group's shared content-keyed cache.
-            // Bit-transparent, so the bytes below equal an unbatched run.
+            // Batched: the group's scheduler over a copy of the same
+            // machine, so the bytes below equal an unbatched run.
             schedule = batch->run(request.graph, request.total_cores);
           } else {
             const cost::CostModel cost{arch::Machine(request.machine)};

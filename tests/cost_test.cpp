@@ -101,6 +101,27 @@ TEST(CostModel, OrthogonalScopeVanishesWithOneGroup) {
   EXPECT_GT(cm.symbolic_comm_time(t, 16, 4, 64), 0.0);
 }
 
+TEST(CostModel, OnlyOrthogonalCollectivesDependOnGroupCount) {
+  // The layer search shares one time row per group size among every task
+  // this predicate clears, so their times must not move with num_groups.
+  const CostModel cm(machine());
+  for (const core::MTask& task :
+       {compute_task(1.0e9), allgather_task(1 << 20),
+        allgather_task(1 << 20, 1, core::CommScope::Global)}) {
+    EXPECT_FALSE(CostModel::depends_on_num_groups(task));
+    for (const int g : {2, 4, 8}) {
+      EXPECT_EQ(cm.symbolic_task_time(task, 8, g, 64),
+                cm.symbolic_task_time(task, 8, 1, 64))
+          << "g=" << g;
+    }
+  }
+  const core::MTask ortho =
+      allgather_task(1 << 20, 1, core::CommScope::Orthogonal);
+  EXPECT_TRUE(CostModel::depends_on_num_groups(ortho));
+  EXPECT_NE(cm.symbolic_task_time(ortho, 8, 2, 64),
+            cm.symbolic_task_time(ortho, 8, 8, 64));
+}
+
 TEST(CostModel, RepeatMultipliesCost) {
   const CostModel cm(machine());
   const core::MTask once = allgather_task(1 << 16, 1);

@@ -117,28 +117,6 @@ TEST_F(PortfolioTest, RestrictedStrategyListRunsOnlyThoseStrategies) {
   EXPECT_EQ(report.scores[0].strategy, "dp");
 }
 
-TEST_F(PortfolioTest, ParallelExecutionMatchesSerial) {
-  const core::TaskGraph graph = solver_graph();
-  PortfolioOptions serial;
-  PortfolioOptions parallel;
-  parallel.parallel = true;
-  PortfolioReport serial_report;
-  PortfolioReport parallel_report;
-  const Schedule a =
-      PortfolioScheduler(cost_, serial).run(graph, 32, serial_report);
-  const Schedule b =
-      PortfolioScheduler(cost_, parallel).run(graph, 32, parallel_report);
-  EXPECT_EQ(a.strategy, b.strategy);
-  EXPECT_EQ(a.makespan(), b.makespan());
-  EXPECT_EQ(serial_report.winner, parallel_report.winner);
-  ASSERT_EQ(serial_report.scores.size(), parallel_report.scores.size());
-  for (std::size_t i = 0; i < serial_report.scores.size(); ++i) {
-    EXPECT_EQ(serial_report.scores[i].strategy,
-              parallel_report.scores[i].strategy);
-    EXPECT_EQ(serial_report.scores[i].score, parallel_report.scores[i].score);
-  }
-}
-
 TEST_F(PortfolioTest, EveryMetricProducesAWinner) {
   const core::TaskGraph graph = solver_graph(ode::Method::IRK);
   for (const PortfolioMetric metric :

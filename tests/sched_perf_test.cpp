@@ -1,29 +1,25 @@
-// Tests for the scheduler hot-path optimizations (ISSUE: memoized cost
-// evaluation, heap-based LPT, pruned group search, parallel per-layer
-// assignment).  The load-bearing property is the bit-identity contract:
-// every optimization knob, alone and combined, must reproduce the
-// all-disabled reference path byte for byte on all five fuzz graph
-// families.  Alongside the differential property: CachedCostModel unit
-// behaviour (transparency, invalidation on mutation, per-machine
-// isolation), deterministic prune accounting, the portfolio's shared
-// cache, and group-size helper edge cases.
+// Tests for the scheduler hot path (per-layer time rows, heap-based LPT,
+// pruned group search, parallel per-layer assignment).  The load-bearing
+// property is the bit-identity contract: serial and parallel layer
+// scheduling must reproduce the monolith reference
+// (reference_layer_scheduler.hpp) byte for byte on all five fuzz graph
+// families.  Alongside the differential property: deterministic prune
+// accounting and group-size helper edge cases.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ptask/arch/machine.hpp"
-#include "ptask/cost/cached_model.hpp"
 #include "ptask/cost/cost_model.hpp"
 #include "ptask/fuzz/generator.hpp"
 #include "ptask/fuzz/rng.hpp"
 #include "ptask/obs/metrics.hpp"
 #include "ptask/sched/pipeline.hpp"
-#include "ptask/sched/portfolio.hpp"
+#include "reference_layer_scheduler.hpp"
 
 namespace ptask::sched {
 namespace {
@@ -32,15 +28,6 @@ arch::Machine machine(int nodes = 8) {
   arch::MachineSpec spec = arch::chic();
   spec.num_nodes = nodes;
   return arch::Machine(spec);
-}
-
-/// The naive reference configuration: every performance knob off.
-LayerSchedulerOptions all_off(LayerSchedulerOptions opt = {}) {
-  opt.cost_cache = false;
-  opt.heap_lpt = false;
-  opt.prune_group_search = false;
-  opt.parallel_layers = 1;
-  return opt;
 }
 
 core::TaskGraph family_graph(fuzz::GraphFamily family, fuzz::Rng& rng) {
@@ -103,8 +90,8 @@ void expect_same_schedule(const Schedule& reference, const Schedule& actual,
 }
 
 // ---------------------------------------------------------------------------
-// Differential property: each optimization alone, and all combined, against
-// the all-disabled reference path.
+// Differential property: the serial and the parallel pipeline against the
+// monolith reference.
 // ---------------------------------------------------------------------------
 
 TEST(PerfKnobDifferential, EveryKnobIsBitTransparentOnAllFamilies) {
@@ -114,31 +101,6 @@ TEST(PerfKnobDifferential, EveryKnobIsBitTransparentOnAllFamilies) {
       fuzz::GraphFamily::Layered,       fuzz::GraphFamily::SeriesParallel,
       fuzz::GraphFamily::RandomDag,     fuzz::GraphFamily::OdeSolver,
       fuzz::GraphFamily::NpbMultiZone};
-
-  // One knob flipped on per variant, then everything at once (cache + heap
-  // + prune + 4 layer threads).
-  struct Variant {
-    const char* name;
-    LayerSchedulerOptions opt;
-  };
-  std::vector<Variant> variants;
-  {
-    Variant v{"cache", all_off()};
-    v.opt.cost_cache = true;
-    variants.push_back(v);
-    v = {"heap", all_off()};
-    v.opt.heap_lpt = true;
-    variants.push_back(v);
-    v = {"prune", all_off()};
-    v.opt.prune_group_search = true;
-    variants.push_back(v);
-    v = {"parallel", all_off()};
-    v.opt.parallel_layers = 4;
-    variants.push_back(v);
-    v = {"all", LayerSchedulerOptions{}};
-    v.opt.parallel_layers = 4;
-    variants.push_back(v);
-  }
 
   for (std::size_t f = 0; f < families.size(); ++f) {
     for (int s = 0; s < 8; ++s) {
@@ -153,226 +115,30 @@ TEST(PerfKnobDifferential, EveryKnobIsBitTransparentOnAllFamilies) {
       const int cores = 1 << shape_rng.uniform(1, 7);
 
       const LayeredSchedule reference =
-          Pipeline::algorithm1(cost, all_off()).run_layered(graph, cores);
+          ReferenceLayerScheduler(cost).schedule(graph, cores);
       const Schedule reference_canonical =
-          Pipeline::algorithm1(cost, all_off()).run(graph, cores);
-      for (const Variant& variant : variants) {
+          canonical(reference, cost, "layer");
+      // The default (serial) pipeline, then 4 layer threads.
+      for (const int threads : {1, 4}) {
+        LayerSchedulerOptions opt;
+        opt.parallel_layers = threads;
         const std::string label = std::string(to_string(families[f])) +
                                   " seed " + std::to_string(s) + " cores " +
                                   std::to_string(cores) + " [" +
-                                  variant.name + "]";
+                                  std::to_string(threads) + " threads]";
         expect_identical(
             reference,
-            Pipeline::algorithm1(cost, variant.opt).run_layered(graph, cores),
-            label);
-        expect_same_schedule(
-            reference_canonical,
-            Pipeline::algorithm1(cost, variant.opt).run(graph, cores), label);
+            Pipeline::algorithm1(cost, opt).run_layered(graph, cores), label);
+        expect_same_schedule(reference_canonical,
+                             Pipeline::algorithm1(cost, opt).run(graph, cores),
+                             label);
       }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// CachedCostModel unit behaviour.
-// ---------------------------------------------------------------------------
-
-TEST(CachedCostModelTest, IsBitTransparentAndCountsHits) {
-  const arch::Machine m = machine(4);
-  const cost::CostModel plain(m);
-  const cost::CachedCostModel cached(plain);
-
-  core::MTask task("t", 3.7e9);
-  task.add_comm({core::CollectiveKind::Allreduce, core::CommScope::Group,
-                 1 << 20, 2});
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int q : {1, 2, 3, 8, 64}) {
-      for (int g : {1, 2, 4}) {
-        EXPECT_EQ(plain.symbolic_task_time(task, q, g, 128),
-                  cached.symbolic_task_time(task, q, g, 128))
-            << "q=" << q << " g=" << g;
-      }
-    }
-  }
-  // The group-scope task is priced independently of num_groups, so the
-  // first pass misses once per q and hits for the other group counts; the
-  // second pass hits everywhere.
-  EXPECT_EQ(cached.misses(), 5u);
-  EXPECT_EQ(cached.hits(), 25u);
-}
-
-TEST(CachedCostModelTest, OrthogonalTasksKeyOnGroupCount) {
-  const arch::Machine m = machine(4);
-  const cost::CostModel plain(m);
-  const cost::CachedCostModel cached(plain);
-
-  core::MTask task("ortho", 1.0e9);
-  task.add_comm({core::CollectiveKind::Allgather, core::CommScope::Orthogonal,
-                 1 << 22, 1});
-  EXPECT_TRUE(cost::CachedCostModel::depends_on_num_groups(task));
-  for (int g : {1, 2, 4, 8}) {
-    EXPECT_EQ(plain.symbolic_task_time(task, 8, g, 64),
-              cached.symbolic_task_time(task, 8, g, 64))
-        << "g=" << g;
-  }
-  // Four distinct group counts -> four distinct entries, no stale reuse.
-  EXPECT_EQ(cached.misses(), 4u);
-}
-
-TEST(CachedCostModelTest, MutationAtTheSameAddressIsNotServedStale) {
-  const arch::Machine m = machine(4);
-  const cost::CostModel plain(m);
-  const cost::CachedCostModel cached(plain);
-
-  // The same MTask object (same address) is re-priced after mutations that
-  // change its cost: the content fingerprint must force a fresh compute.
-  core::MTask task("mut", 1.0e9);
-  EXPECT_EQ(cached.symbolic_task_time(task, 4, 1, 16),
-            plain.symbolic_task_time(task, 4, 1, 16));
-
-  task.set_work_flop(2.5e9);
-  EXPECT_EQ(cached.symbolic_task_time(task, 4, 1, 16),
-            plain.symbolic_task_time(task, 4, 1, 16));
-
-  task.set_max_cores(2);
-  EXPECT_EQ(cached.symbolic_task_time(task, 4, 1, 16),
-            plain.symbolic_task_time(task, 4, 1, 16));
-
-  task.add_comm({core::CollectiveKind::Bcast, core::CommScope::Global,
-                 1 << 16, 3});
-  EXPECT_EQ(cached.symbolic_task_time(task, 4, 1, 16),
-            plain.symbolic_task_time(task, 4, 1, 16));
-
-  EXPECT_EQ(cached.misses(), 4u);
-  EXPECT_EQ(cached.hits(), 0u);
-}
-
-TEST(CachedCostModelTest, NearCollisionOneUlpWeightChangeIsNotServedStale) {
-  // Negative test for fingerprint near-collisions: the same task object
-  // (same address, so only the content fingerprint separates the entries)
-  // re-priced after the *smallest representable* weight change.  A
-  // fingerprint that truncated, rounded, or only sampled the weight would
-  // serve the stale time here.
-  const arch::Machine m = machine(4);
-  const cost::CostModel plain(m);
-  const cost::CachedCostModel cached(plain);
-
-  core::MTask task("ulp", 1.0e9);
-  const double first = cached.symbolic_task_time(task, 4, 1, 16);
-  EXPECT_EQ(first, plain.symbolic_task_time(task, 4, 1, 16));
-
-  task.set_work_flop(std::nextafter(1.0e9, 2.0e9));
-  const double second = cached.symbolic_task_time(task, 4, 1, 16);
-  EXPECT_EQ(second, plain.symbolic_task_time(task, 4, 1, 16));
-  EXPECT_NE(first, second);
-  EXPECT_EQ(cached.misses(), 2u);
-  EXPECT_EQ(cached.hits(), 0u);
-}
-
-TEST(CachedCostModelTest, NearCollisionGraphsSameShapeOneWeightDiffers) {
-  // Two structurally identical graphs -- same tasks, same collectives, same
-  // edges -- where exactly one task's weight differs.  Priced through one
-  // shared cache, every task of both graphs must come back bit-identical to
-  // the plain model; the twin of the differing task must be a fresh miss,
-  // never a hit on its near-collision sibling.
-  const arch::Machine m = machine(4);
-  const cost::CostModel plain(m);
-  const cost::CachedCostModel cached(plain);
-
-  const auto build = [](double pivot_work) {
-    core::TaskGraph graph;
-    core::TaskId previous = core::kInvalidTask;
-    for (int i = 0; i < 6; ++i) {
-      core::MTask task("t" + std::to_string(i),
-                       i == 3 ? pivot_work : 1.0e8 * (i + 1));
-      task.add_comm({core::CollectiveKind::Allgather, core::CommScope::Group,
-                     1u << 18, 1});
-      const core::TaskId id = graph.add_task(task);
-      if (i > 0) graph.add_edge(previous, id);
-      previous = id;
-    }
-    return graph;
-  };
-
-  const core::TaskGraph a = build(5.0e8);
-  const core::TaskGraph b = build(std::nextafter(5.0e8, 1.0e9));
-  for (const core::TaskGraph* graph : {&a, &b}) {
-    for (core::TaskId id = 0; id < graph->num_tasks(); ++id) {
-      for (int q : {1, 4, 16}) {
-        EXPECT_EQ(cached.symbolic_task_time(graph->task(id), q, 1, 64),
-                  plain.symbolic_task_time(graph->task(id), q, 1, 64))
-            << "task " << id << " q=" << q;
-      }
-    }
-  }
-  // Distinct task objects never share entries (keys carry the address), so
-  // all 36 evaluations are misses -- and in particular the pivot twin was
-  // not answered from its near-collision sibling's entry.
-  EXPECT_EQ(cached.misses(), 36u);
-  EXPECT_EQ(cached.hits(), 0u);
-}
-
-TEST(CachedCostModelTest, NearCollisionSwappedCollectiveFieldsStayDistinct) {
-  // Field-transposition near-collisions: the same numeric values moved
-  // between fields (bytes<->repeat, and a kind/scope swap).  A fingerprint
-  // that summed or XOR-folded fields order-insensitively would alias these;
-  // the sequential byte mix must keep them apart.
-  const arch::Machine m = machine(4);
-  const cost::CostModel plain(m);
-  const cost::CachedCostModel cached(plain);
-
-  core::MTask task("swap", 1.0e9);
-  task.add_comm({core::CollectiveKind::Allgather, core::CommScope::Group,
-                 4096, 8});
-  const double first = cached.symbolic_task_time(task, 4, 1, 16);
-  EXPECT_EQ(first, plain.symbolic_task_time(task, 4, 1, 16));
-
-  // bytes=8, repeat=4096: same numbers, transposed fields, written into the
-  // SAME object (assignment keeps the address, i.e. real address reuse).
-  core::MTask transposed("swap", 1.0e9);
-  transposed.add_comm({core::CollectiveKind::Allgather, core::CommScope::Group,
-                       8, 4096});
-  task = transposed;
-  const double second = cached.symbolic_task_time(task, 4, 1, 16);
-  EXPECT_EQ(second, plain.symbolic_task_time(task, 4, 1, 16));
-
-  EXPECT_EQ(cached.misses(), 2u);
-  EXPECT_EQ(cached.hits(), 0u);
-}
-
-TEST(CachedCostModelTest, CachesOfDifferentMachinesStayIsolated) {
-  const arch::Machine small = machine(1);
-  const arch::Machine large = machine(16);
-  const cost::CostModel plain_small(small);
-  const cost::CostModel plain_large(large);
-  const cost::CachedCostModel cached_small(plain_small);
-  const cost::CachedCostModel cached_large(plain_large);
-
-  core::MTask task("t", 2.0e9);
-  task.add_comm({core::CollectiveKind::Allreduce, core::CommScope::Global,
-                 1 << 24, 1});
-  for (int q : {1, 4, 16}) {
-    EXPECT_EQ(cached_small.symbolic_task_time(task, q, 2, 16),
-              plain_small.symbolic_task_time(task, q, 2, 16));
-    EXPECT_EQ(cached_large.symbolic_task_time(task, q, 2, 16),
-              plain_large.symbolic_task_time(task, q, 2, 16));
-  }
-}
-
-TEST(CachedCostModelTest, ClearDropsEntriesButKeepsValues) {
-  const arch::Machine m = machine(2);
-  const cost::CostModel plain(m);
-  cost::CachedCostModel cached(plain);
-
-  const core::MTask task("t", 1.0e9);
-  const double before = cached.symbolic_task_time(task, 2, 1, 4);
-  cached.clear();
-  EXPECT_EQ(cached.symbolic_task_time(task, 2, 1, 4), before);
-  EXPECT_EQ(cached.misses(), 2u);  // recomputed after clear()
-}
-
-// ---------------------------------------------------------------------------
-// Prune accounting and observability counters.
+// Prune accounting.
 // ---------------------------------------------------------------------------
 
 TEST(PruneCounters, DeterministicPruneCountOnSequentialTasks) {
@@ -397,15 +163,9 @@ TEST(PruneCounters, DeterministicPruneCountOnSequentialTasks) {
   // LPT run stops early.
   EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 0u);
 
-  // Same schedule as the exhaustive sweep, which never aborts.
-  LayerSchedulerOptions exhaustive;
-  exhaustive.prune_group_search = false;
-  expect_identical(
-      Pipeline::algorithm1(cost, exhaustive).run_layered(graph, 16), pruned,
-      "pruned vs exhaustive");
-  EXPECT_EQ(obs::metrics().counter("sched.prune.pruned").value(), 6u);
-  EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 10u);
-  EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 0u);
+  // Same schedule as the exhaustive sweep of the monolith reference.
+  expect_identical(ReferenceLayerScheduler(cost).schedule(graph, 16), pruned,
+                   "pruned vs exhaustive");
 }
 
 TEST(PruneCounters, DeterministicAbortCountOnEqualParallelTasks) {
@@ -434,32 +194,8 @@ TEST(PruneCounters, DeterministicAbortCountOnEqualParallelTasks) {
   EXPECT_EQ(pruned.layers[0].num_groups(), 1);
   EXPECT_EQ(pruned.layers[0].predicted_time, 120.0);
 
-  LayerSchedulerOptions exhaustive;
-  exhaustive.prune_group_search = false;
-  expect_identical(
-      Pipeline::algorithm1(cost, exhaustive).run_layered(graph, 16), pruned,
-      "pruned vs exhaustive");
-  EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 15u);
-  EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 6u);
-}
-
-TEST(ObsCounters, PortfolioRunHitsTheSharedCostCache) {
-  const std::uint64_t seed =
-      fuzz::substream(fuzz::seed_from_env(fuzz::kDefaultFuzzSeed), 0xCAFE);
-  fuzz::Rng rng(seed);
-  const core::TaskGraph graph =
-      family_graph(fuzz::GraphFamily::Layered, rng);
-  const arch::Machine m = machine(4);
-  const cost::CostModel cost(m);
-
-  obs::metrics().reset();
-  PortfolioOptions options;
-  options.shared_cost_cache = true;  // opt-in: pays off on repetitive graphs
-  const PortfolioScheduler portfolio(cost, options);
-  const Schedule winner = portfolio.run(graph, 64);
-  EXPECT_GT(winner.gantt.makespan, 0.0);
-  EXPECT_GT(obs::metrics().counter("sched.cache.hit").value(), 0u);
-  EXPECT_GT(obs::metrics().counter("sched.cache.miss").value(), 0u);
+  expect_identical(ReferenceLayerScheduler(cost).schedule(graph, 16), pruned,
+                   "pruned vs exhaustive");
 }
 
 // ---------------------------------------------------------------------------
@@ -557,7 +293,7 @@ TEST(SchedulerEdgeCases, ParallelLayersBeyondLayerCountIsHarmless) {
   const cost::CostModel cost(m);
   LayerSchedulerOptions opt;
   opt.parallel_layers = 64;  // one layer; workers clamp to the layer count
-  expect_identical(Pipeline::algorithm1(cost, all_off()).run_layered(graph, 8),
+  expect_identical(ReferenceLayerScheduler(cost).schedule(graph, 8),
                    Pipeline::algorithm1(cost, opt).run_layered(graph, 8),
                    "parallel_layers > n_layers");
 }

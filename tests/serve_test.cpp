@@ -1879,8 +1879,8 @@ TEST(ServeShutdown, StatsAfterStopKeepQueueTotals) {
 
 TEST(ServeBatch, SharedPricingKeepsBatchMembersByteIdentical) {
   // Unit-level bit-identity: for every fuzz family, several graphs run
-  // through one BatchScheduler (shared content-keyed pricing cache) must
-  // serialize exactly like fresh unbatched runs.
+  // through one BatchScheduler must serialize exactly like fresh unbatched
+  // runs, also when the same graph runs through it again.
   std::map<fuzz::GraphFamily, int> covered;
   std::uint64_t seed = 20;
   const int per_family = 2;
@@ -1901,15 +1901,10 @@ TEST(ServeBatch, SharedPricingKeepsBatchMembersByteIdentical) {
       const std::string unbatched = serialize_schedule(
           direct->run(instance.graph, instance.total_cores));
       EXPECT_EQ(batched, unbatched) << instance.name << " via " << strategy;
-      // Re-running the same graph through the shared cache prices every
-      // task from the cache -- and stays byte-identical.
-      const std::uint64_t misses_before = batch.pricing_misses();
       EXPECT_EQ(serialize_schedule(
                     batch.run(instance.graph, instance.total_cores)),
-                unbatched);
-      EXPECT_GT(batch.pricing_hits(), 0u) << instance.name;
-      EXPECT_EQ(batch.pricing_misses(), misses_before)
-          << instance.name << ": repeat run should not re-price any task";
+                unbatched)
+          << instance.name << " via " << strategy << ", repeated";
     }
   }
 }

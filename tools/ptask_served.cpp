@@ -24,8 +24,8 @@
 //                         answered PTS008 immediately (0 = unbounded)
 //   --retry-after-ms N    backoff hint carried in PTS008 responses
 //   --batch-max N         max requests one worker dequeues together;
-//                         compatible schedule requests among them share one
-//                         pricing cache (1 disables batching)
+//                         compatible schedule requests among them run as
+//                         one batch (1 disables batching)
 //   --batch-window-us N   optional wait for more requests to join a batch;
 //                         0 batches only the existing backlog
 //
