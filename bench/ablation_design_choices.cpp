@@ -26,7 +26,7 @@ double evaluate(const core::TaskGraph& g, const cost::CostModel& cost,
                 const arch::Machine& machine, int cores,
                 sched::LayerSchedulerOptions opts) {
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost, opts).schedule(g, cores);
+      sched::Pipeline::algorithm1(cost, opts).run(g, cores).layered;
   const std::vector<cost::LayerLayout> layouts =
       map::map_schedule(schedule, machine, map::Strategy::Consecutive);
   return sched::TimelineEvaluator(cost).evaluate(schedule, layouts).makespan;

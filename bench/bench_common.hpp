@@ -20,7 +20,7 @@
 #include "ptask/map/mapping.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 
 namespace ptask::bench {
@@ -73,8 +73,9 @@ inline RunResult run_step(const ode::SolverGraphSpec& spec,
     opts.fixed_groups = config.fixed_groups > 0 ? config.fixed_groups
                                                 : default_tp_groups(spec);
     schedule =
-        sched::LayerScheduler(cost, opts).schedule(spec.step_graph(),
-                                                   config.cores);
+        sched::Pipeline::algorithm1(cost, opts)
+            .run(spec.step_graph(), config.cores)
+            .layered;
   }
 
   const std::vector<cost::LayerLayout> layouts = map::map_schedule(

@@ -67,8 +67,8 @@ SchedulerTimes compare(const ode::SolverGraphSpec& spec, int cores) {
   const core::TaskGraph g = spec.step_graph();
 
   SchedulerTimes times{};
-  times.layered = layered_cost(sched::LayerScheduler(cost).schedule(g, cores),
-                               cost);
+  times.layered = layered_cost(
+      sched::Pipeline::algorithm1(cost).run(g, cores).layered, cost);
   times.dp = layered_cost(
       sched::DataParallelScheduler(cost).schedule(g, cores), cost);
   times.cpa = moldable_cost(

@@ -32,7 +32,7 @@ double step_time(const npb::MultiZoneProblem& problem,
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = groups;
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost, opts).schedule(g, cores);
+      sched::Pipeline::algorithm1(cost, opts).run(g, cores).layered;
   const std::vector<cost::LayerLayout> layouts =
       map::map_schedule(schedule, machine, strategy, d);
   return sched::TimelineEvaluator(cost).evaluate(schedule, layouts).makespan;

@@ -29,7 +29,7 @@
 #include "ptask/sched/cpa_scheduler.hpp"
 #include "ptask/sched/cpr_scheduler.hpp"
 #include "ptask/sched/incremental.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/moldable.hpp"
 #include "ptask/sched/portfolio.hpp"
 #include "ptask/sim/network_sim.hpp"
@@ -58,9 +58,9 @@ void BM_LayerScheduler(benchmark::State& state) {
   const arch::Machine m = machine(cores / 4);
   const cost::CostModel cost(m);
   const core::TaskGraph g = pabm_spec(8).step_graph();
-  const sched::LayerScheduler scheduler(cost);
+  const sched::Pipeline scheduler = sched::Pipeline::algorithm1(cost);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(g, cores));
+    benchmark::DoNotOptimize(scheduler.run(g, cores));
   }
 }
 BENCHMARK(BM_LayerScheduler)->Arg(64)->Arg(256)->Arg(1024);
@@ -102,9 +102,9 @@ void BM_LayerSchedulerLarge(benchmark::State& state) {
   const arch::Machine m = machine(cores / 64);
   const cost::CostModel cost(m);
   const core::TaskGraph& g = large_layered_graph();
-  const sched::LayerScheduler scheduler(cost);
+  const sched::Pipeline scheduler = sched::Pipeline::algorithm1(cost);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(g, cores));
+    benchmark::DoNotOptimize(scheduler.run(g, cores));
   }
   state.counters["tasks"] = static_cast<double>(g.num_tasks());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -120,9 +120,9 @@ void BM_LayerSchedulerLargeParallel(benchmark::State& state) {
   const core::TaskGraph& g = large_layered_graph();
   sched::LayerSchedulerOptions options;
   options.parallel_layers = 8;
-  const sched::LayerScheduler scheduler(cost, options);
+  const sched::Pipeline scheduler = sched::Pipeline::algorithm1(cost, options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(g, cores));
+    benchmark::DoNotOptimize(scheduler.run(g, cores));
   }
   state.counters["tasks"] = static_cast<double>(g.num_tasks());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -376,7 +376,7 @@ void BM_ExecutorRun(benchmark::State& state) {
   const cost::CostModel cost(m);
   const core::TaskGraph g = pabm_spec(4).step_graph();
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost).schedule(g, cores);
+      sched::Pipeline::algorithm1(cost).run(g, cores).layered;
   rt::Executor exec(cores);
   std::vector<rt::TaskFn> fns(static_cast<std::size_t>(g.num_tasks()));
   for (auto& fn : fns) {

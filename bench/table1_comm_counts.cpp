@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 
 namespace {
 
@@ -40,7 +40,9 @@ ode::CommCounts counts_for(const ode::SolverGraphSpec& spec,
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = bench::default_tp_groups(spec);
   return ode::count_comms(
-      sched::LayerScheduler(cost, opts).schedule(spec.step_graph(), cores));
+      sched::Pipeline::algorithm1(cost, opts)
+          .run(spec.step_graph(), cores)
+          .layered);
 }
 
 }  // namespace

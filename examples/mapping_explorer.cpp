@@ -21,7 +21,7 @@
 #include "ptask/map/mapping.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 
 using namespace ptask;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     sched::LayerSchedulerOptions opts;
     opts.fixed_groups = groups;
     const sched::LayeredSchedule schedule =
-        sched::LayerScheduler(cost, opts).schedule(graph, cores);
+        sched::Pipeline::algorithm1(cost, opts).run(graph, cores).layered;
     const std::string base =
         groups == 0 ? "tp (searched g)" : "tp (g=" + std::to_string(groups) + ")";
     report(base + " cons", schedule, map::Strategy::Consecutive, 1);

@@ -17,7 +17,7 @@
 #include "ptask/npb/multizone.hpp"
 #include "ptask/npb/stencil.hpp"
 #include "ptask/rt/executor.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 
 using namespace ptask;
@@ -104,7 +104,7 @@ int main() {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = 2;
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost, opts).schedule(graph, 8);
+      sched::Pipeline::algorithm1(cost, opts).run(graph, 8).layered;
   std::printf("\n%s\n", sched::describe(schedule).c_str());
 
   // Real execution: each zone task relaxes its zone SPMD on its group.
@@ -155,7 +155,9 @@ int main() {
     sched::LayerSchedulerOptions big_opts;
     big_opts.fixed_groups = groups;
     const sched::LayeredSchedule s =
-        sched::LayerScheduler(cluster_cost, big_opts).schedule(big_graph, 512);
+        sched::Pipeline::algorithm1(cluster_cost, big_opts)
+            .run(big_graph, 512)
+            .layered;
     const std::vector<cost::LayerLayout> layouts =
         map::map_schedule(s, cluster, map::Strategy::Consecutive);
     std::printf("  %4d groups: %8.1f ms\n", groups,

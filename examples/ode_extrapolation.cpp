@@ -21,7 +21,7 @@
 #include "ptask/ode/epol.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/rt/executor.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 
 using namespace ptask;
@@ -57,7 +57,7 @@ int main() {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = R / 2;  // the paper's tp scheme (Fig. 6 middle)
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost, opts).schedule(step, 8);
+      sched::Pipeline::algorithm1(cost, opts).run(step, 8).layered;
   std::printf("\n%s\n", sched::describe(schedule).c_str());
 
   // --- 3. real execution on the shared-memory runtime ---
@@ -114,8 +114,9 @@ int main() {
   sched::LayerSchedulerOptions big_opts;
   big_opts.fixed_groups = R / 2;
   const sched::LayeredSchedule big_schedule =
-      sched::LayerScheduler(cluster_cost, big_opts).schedule(big.step_graph(),
-                                                             256);
+      sched::Pipeline::algorithm1(cluster_cost, big_opts)
+          .run(big.step_graph(), 256)
+          .layered;
   const sched::TimelineEvaluator eval(cluster_cost);
   std::printf("projected per-step times on 256 CHiC cores (n = %zu):\n",
               big.n);

@@ -15,7 +15,7 @@
 #include "ptask/arch/topology.hpp"
 #include "ptask/core/spec_builder.hpp"
 #include "ptask/map/mapping.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 #include "ptask/sched/validation.hpp"
 #include "ptask/viz/gantt.hpp"
@@ -64,9 +64,10 @@ int main() {
 
   // --- scheduling (Algorithm 1) ---
   const cost::CostModel cost(machine);
-  const sched::LayerScheduler scheduler(cost);
   const sched::LayeredSchedule schedule =
-      scheduler.schedule(program.graph, machine.total_cores());
+      sched::Pipeline::algorithm1(cost)
+          .run(program.graph, machine.total_cores())
+          .layered;
   const sched::ValidationReport report = sched::validate(schedule, program.graph);
   std::printf("\n%s", sched::describe(schedule).c_str());
   std::printf("schedule valid: %s\n\n", report.ok() ? "yes" : "NO");

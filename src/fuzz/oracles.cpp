@@ -15,7 +15,6 @@
 #include "ptask/map/mapping.hpp"
 #include "ptask/rt/executor.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
 #include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/portfolio.hpp"
 #include "ptask/sched/registry.hpp"
@@ -367,16 +366,16 @@ class Checker {
       // violation is unambiguous.
       if (best_chain > longest * (1.0 + 1e-6) + 1e-9) {
         sched::Schedule m = base;
-        double longest = 0.0;
+        double mutated_longest = 0.0;
         for (core::TaskId id = 0; id < g.num_tasks(); ++id) {
           if (g.task(id).is_marker()) continue;
           sched::TaskSlot& s = slot_of(m, id);
           const double d = s.finish - s.start;
           s.start = 0.0;
           s.finish = d;
-          longest = std::max(longest, d);
+          mutated_longest = std::max(mutated_longest, d);
         }
-        m.gantt.makespan = longest;
+        m.gantt.makespan = mutated_longest;
         expect_code("bound-violation", m, analysis::kCertLowerBound);
       }
     }
@@ -592,21 +591,23 @@ class Checker {
     std::vector<std::pair<std::string, sched::LayeredSchedule>> schedules;
     schedules.emplace_back(
         "exec[layer]",
-        sched::LayerScheduler(cost_).schedule(instance_.graph, cores));
+        sched::Pipeline::algorithm1(cost_).run(instance_.graph, cores).layered);
     {
       sched::LayerSchedulerOptions opts;
       opts.fixed_groups = 2;
-      schedules.emplace_back("exec[layer,g=2]",
-                             sched::LayerScheduler(cost_, opts).schedule(
-                                 instance_.graph, cores));
+      schedules.emplace_back(
+          "exec[layer,g=2]",
+          sched::Pipeline::algorithm1(cost_, opts).run(instance_.graph, cores)
+              .layered);
     }
     {
       sched::LayerSchedulerOptions opts;
       opts.contract_chains = false;
       opts.adjust_group_sizes = false;
-      schedules.emplace_back("exec[layer,no-contract]",
-                             sched::LayerScheduler(cost_, opts).schedule(
-                                 instance_.graph, cores));
+      schedules.emplace_back(
+          "exec[layer,no-contract]",
+          sched::Pipeline::algorithm1(cost_, opts).run(instance_.graph, cores)
+              .layered);
     }
     schedules.emplace_back("exec[data-parallel]",
                            sched::DataParallelScheduler(cost_).schedule(

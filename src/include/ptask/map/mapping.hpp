@@ -16,7 +16,6 @@
 #include "ptask/arch/machine.hpp"
 #include "ptask/cost/cost_model.hpp"
 #include "ptask/map/core_sequence.hpp"
-#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/schedule.hpp"
 
 namespace ptask::map {
@@ -38,21 +37,5 @@ std::vector<cost::LayerLayout> map_schedule(
 std::vector<cost::LayerLayout> map_schedule(const sched::Schedule& schedule,
                                             const arch::Machine& machine,
                                             Strategy strategy, int d = 1);
-
-/// Mapping as a pipeline pass (F_W as the sixth stage of Algorithm 1):
-/// fills PassContext::layouts from the scheduled layers using the machine
-/// embedded in the pass context's cost model, so `Pipeline::run` returns a
-/// Schedule whose `layouts` are ready for the timeline evaluator.
-class MapCoresPass final : public sched::Pass {
- public:
-  explicit MapCoresPass(Strategy strategy = Strategy::Consecutive, int d = 1)
-      : strategy_(strategy), d_(d) {}
-  std::string_view name() const override { return "map-cores"; }
-  void run(sched::PassContext& ctx) const override;
-
- private:
-  Strategy strategy_;
-  int d_;
-};
 
 }  // namespace ptask::map

@@ -5,11 +5,11 @@
 /// The paper's Algorithm 1 is a pipeline: chain contraction -> layer
 /// partitioning -> group-count search -> LPT assignment -> proportional
 /// group adjustment.  Each stage is a `Pass` over a shared `PassContext`
-/// (graph, cost model, core budget, working state, diagnostics), and
-/// `Pipeline` composes passes into a `Scheduler` producing the canonical
-/// `Schedule`.  `Pipeline::algorithm1` builds the exact five-pass chain of
-/// the paper; custom pipelines can reorder, drop, or insert passes (e.g.
-/// map::MapCoresPass binds physical cores as a sixth stage).
+/// (graph, cost model, core budget, memo, working state), and
+/// `Pipeline::algorithm1` composes the five passes into the `Scheduler`
+/// producing the canonical `Schedule`.  `Pipeline::run(PassContext&)` is the
+/// one implementation of the algorithm: it replays layers from the context's
+/// memo and lowers the result to the Gantt view.
 ///
 /// Every strategy in the repository -- the layer scheduler, CPA/MCPA/CPR,
 /// pure data parallelism, and the portfolio -- implements `Scheduler`, so
@@ -23,11 +23,37 @@
 #include <string_view>
 #include <vector>
 
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/cost/cost_model.hpp"
 #include "ptask/sched/moldable.hpp"
 #include "ptask/sched/schedule.hpp"
 
 namespace ptask::sched {
+
+/// Options of the layer-based scheduler (paper Section 3.2, Algorithm 1).
+struct LayerSchedulerOptions {
+  /// Force exactly this many groups per layer instead of searching (clamped
+  /// to the layer's task count); 0 means "search" (Algorithm 1, line 5).
+  /// Used by the NPB experiments that compare fixed group counts (Fig. 17).
+  int fixed_groups = 0;
+  /// Apply the proportional group-size adjustment step.
+  bool adjust_group_sizes = true;
+  /// Contract linear chains before layering.
+  bool contract_chains = true;
+
+  /// Schedule independent layers on up to this many threads (<= 1 runs
+  /// serially; layers are independent and tie-breaking is per-layer, so
+  /// the parallel path is bit-identical to the serial one).
+  int parallel_layers = 1;
+};
+
+/// Equal split of `total` cores into `g` groups (sizes differ by at most 1;
+/// earlier groups get the extra cores).
+std::vector<int> equal_group_sizes(int total, int g);
+
+/// Largest-remainder proportional rounding of `total` cores to `weights`
+/// (every entry gets at least 1; the result sums to `total`).
+std::vector<int> proportional_group_sizes(int total,
+                                          const std::vector<double>& weights);
 
 /// Common interface of all scheduling strategies: one canonical result.
 class Scheduler {
@@ -84,8 +110,8 @@ struct PassContext {
   /// Settled per-layer memo from a previous invocation (empty on the first
   /// run).  AssignLPT reuses every layer whose content signature matches an
   /// entry and schedules only the rest; AdjustGroups skips reused layers.
-  /// Pipeline::run_with_context rewrites it from the new result, so the
-  /// context can be re-run after each graph delta.
+  /// IncrementalScheduler settles it from each result, so the next graph
+  /// delta runs against the layers of the last one.
   std::vector<LayerMemoEntry> memo;
 
   // ---- working state (produced/consumed along the pass chain) ----
@@ -100,15 +126,11 @@ struct PassContext {
   /// from (-1 for dirty layers) -- the Gantt lowering reads the settled
   /// task times through it.
   std::vector<std::int32_t> layer_memo;
-  std::vector<cost::LayerLayout> layouts;             ///< map::MapCoresPass
 
   // ---- incremental-repair accounting (filled by AssignLPT) ----
   std::size_t settled_prefix = 0;   ///< leading layers replayed unchanged
   std::size_t layers_reused = 0;    ///< layers replayed from the memo
   std::size_t layers_scheduled = 0; ///< layers (re)scheduled this run
-
-  /// Free-form diagnostics; copied into Schedule::notes.
-  std::vector<std::string> notes;
 };
 
 /// One composable stage of a scheduling pipeline.
@@ -136,8 +158,8 @@ class Layerize final : public Pass {
 };
 
 /// Step 3: enumerate the candidate group counts of every layer (Algorithm 1,
-/// line 5): {1, ..., min(P, |layer|)}, clipped by options.max_groups, or the
-/// single forced options.fixed_groups value.
+/// line 5): {1, ..., min(P, |layer|)}, or the single forced
+/// options.fixed_groups value.
 class GroupSearch final : public Pass {
  public:
   std::string_view name() const override { return "group-search"; }
@@ -165,27 +187,18 @@ class AdjustGroups final : public Pass {
   void run(PassContext& ctx) const override;
 };
 
-/// A `Scheduler` that runs an ordered pass chain over one PassContext.
+/// The paper's Algorithm 1: a `Scheduler` that runs the five passes over one
+/// PassContext and lowers the result.
 class Pipeline final : public Scheduler {
  public:
-  Pipeline(const cost::CostModel& cost, std::string name = "pipeline",
-           LayerSchedulerOptions options = {})
-      : cost_(&cost), name_(std::move(name)), options_(options) {}
-
-  /// Appends a pass; returns *this for chaining.
-  Pipeline& append(std::unique_ptr<Pass> pass);
-
-  /// The paper's Algorithm 1 as the canonical five-pass chain.
+  /// The canonical five-pass chain, stamped with strategy name `name`.
   static Pipeline algorithm1(const cost::CostModel& cost,
-                             LayerSchedulerOptions options = {});
+                             LayerSchedulerOptions options = {},
+                             std::string name = "layer");
 
   std::string_view name() const override { return name_; }
+  /// Runs a fresh `make_context(graph, total_cores)` through `run(ctx)`.
   Schedule run(const core::TaskGraph& graph, int total_cores) const override;
-
-  /// Runs the pass chain and assembles only the layered result -- the
-  /// compatibility path LayerScheduler::schedule delegates to.
-  LayeredSchedule run_layered(const core::TaskGraph& graph,
-                              int total_cores) const;
 
   /// Builds a fresh context for `graph`.  Public so re-entrant callers (the
   /// incremental scheduler, tests) can thread memo state between
@@ -193,19 +206,21 @@ class Pipeline final : public Scheduler {
   PassContext make_context(const core::TaskGraph& graph,
                            int total_cores) const;
 
-  /// Re-entrant entry point: runs the pass chain over a caller-owned
-  /// context and assembles the canonical result.  Layers whose content
-  /// signature matches `ctx.memo` are replayed (bit-identically) instead of
-  /// re-scheduled; on return `ctx.memo` holds the new settled state and the
+  /// Runs the pass chain over a caller-owned context and assembles the
+  /// canonical result.  Layers whose content signature matches `ctx.memo`
+  /// are replayed (bit-identically) instead of re-scheduled; on return the
   /// repair counters (`settled_prefix`, `layers_reused`,
   /// `layers_scheduled`) describe what the run reused.  With an empty memo
-  /// this is exactly `run` (every layer dirty).
-  Schedule run_with_context(PassContext& ctx) const;
+  /// every layer is dirty.
+  Schedule run(PassContext& ctx) const;
 
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
-  const LayerSchedulerOptions& options() const { return options_; }
 
  private:
+  Pipeline(const cost::CostModel& cost, std::string name,
+           LayerSchedulerOptions options)
+      : cost_(&cost), name_(std::move(name)), options_(options) {}
+
   const cost::CostModel* cost_;
   std::string name_;
   LayerSchedulerOptions options_;

@@ -123,10 +123,7 @@ struct Schedule {
   LayeredSchedule layered;    ///< contraction always valid; layers optional
   GanttSchedule gantt;        ///< uniform Gantt view (always populated)
   std::vector<int> allocation;  ///< symbolic cores per (contracted) task
-  /// Physical per-layer layouts when a mapping pass ran (layered schedules
-  /// only); empty otherwise.
-  std::vector<cost::LayerLayout> layouts;
-  /// Free-form diagnostics accumulated by passes / the portfolio scoreboard.
+  /// Free-form diagnostics accumulated by the portfolio scoreboard.
   std::vector<std::string> notes;
   /// Incremental repair annotation: the number of leading layers replayed
   /// unchanged from the previous settled schedule (the stable prefix of a

@@ -64,14 +64,10 @@ class TimelineEvaluator {
                           std::span<const cost::LayerLayout> layouts,
                           const TimelineOptions& options = {}) const;
 
-  /// Canonical-schedule overloads: evaluate `schedule.layered` with explicit
-  /// layouts, or with the layouts embedded by a mapping pass (throws
-  /// std::invalid_argument when the schedule has neither layers nor
-  /// embedded layouts).
+  /// Canonical-schedule overload: evaluates `schedule.layered` (throws
+  /// std::invalid_argument when the schedule has no layers).
   TimelineResult evaluate(const Schedule& schedule,
                           std::span<const cost::LayerLayout> layouts,
-                          const TimelineOptions& options = {}) const;
-  TimelineResult evaluate(const Schedule& schedule,
                           const TimelineOptions& options = {}) const;
 
   /// Discrete-event simulation of the mapped schedule.  Rank r of the
@@ -82,11 +78,9 @@ class TimelineEvaluator {
                           std::span<const cost::LayerLayout> layouts,
                           const TimelineOptions& options = {}) const;
 
-  /// Canonical-schedule overloads, mirroring `evaluate`.
+  /// Canonical-schedule overload, mirroring `evaluate`.
   sim::SimResult simulate(const Schedule& schedule,
                           std::span<const cost::LayerLayout> layouts,
-                          const TimelineOptions& options = {}) const;
-  sim::SimResult simulate(const Schedule& schedule,
                           const TimelineOptions& options = {}) const;
 
  private:

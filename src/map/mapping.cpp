@@ -52,18 +52,4 @@ std::vector<cost::LayerLayout> map_schedule(const sched::Schedule& schedule,
   return map_schedule(schedule.layered, machine, strategy, d);
 }
 
-void MapCoresPass::run(sched::PassContext& ctx) const {
-  const arch::Machine& machine = ctx.cost->machine();
-  if (ctx.total_cores > machine.total_cores()) {
-    throw std::invalid_argument("schedule uses more cores than the machine");
-  }
-  const std::vector<int> sequence = physical_sequence(machine, strategy_, d_);
-  ctx.layouts.clear();
-  ctx.layouts.reserve(ctx.layers.size());
-  for (const sched::ScheduledLayer& layer : ctx.layers) {
-    ctx.layouts.push_back(map_layer(layer.group_sizes, sequence));
-  }
-  ctx.notes.push_back(std::string("map-cores: ") + to_string(strategy_));
-}
-
 }  // namespace ptask::map

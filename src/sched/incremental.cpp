@@ -1,5 +1,6 @@
 #include "ptask/sched/incremental.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <utility>
 
@@ -10,18 +11,45 @@ namespace ptask::sched {
 
 namespace {
 
-Pipeline incremental_pipeline(const cost::CostModel& cost,
-                              LayerSchedulerOptions options) {
-  // The exact Algorithm-1 pass chain under the "incremental" strategy name:
-  // the memo-aware replay lives inside AssignLPT/AdjustGroups, so the
-  // offline and online paths share every line of scheduling logic.
-  Pipeline pipeline(cost, "incremental", options);
-  pipeline.append(std::make_unique<ContractChains>())
-      .append(std::make_unique<Layerize>())
-      .append(std::make_unique<GroupSearch>())
-      .append(std::make_unique<AssignLPT>())
-      .append(std::make_unique<AdjustGroups>());
-  return pipeline;
+/// Rebuilds `ctx.memo` from the run that produced `layered`.  A layer
+/// replayed from memo entry m has members, candidates, times, and layer
+/// content identical to that entry (that is what the signature match
+/// certified), so the entry is moved wholesale -- only the contracted-id
+/// labels need refreshing.  Deep construction is reserved for dirty layers
+/// and duplicate hits on an already-moved entry.  One-shot runs never pay
+/// for this: only a session reads the memo back.
+void settle_memo(PassContext& ctx, const LayeredSchedule& layered) {
+  obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.memo_settle");
+  std::vector<LayerMemoEntry> settled(layered.layers.size());
+  std::vector<char> consumed(ctx.memo.size(), 0);
+  for (std::size_t li = 0; li < layered.layers.size(); ++li) {
+    LayerMemoEntry& entry = settled[li];
+    const ScheduledLayer& layer = layered.layers[li];
+    const std::int32_t memo_idx =
+        li < ctx.layer_memo.size() ? ctx.layer_memo[li] : -1;
+    if (memo_idx >= 0 && !consumed[static_cast<std::size_t>(memo_idx)]) {
+      entry = std::move(ctx.memo[static_cast<std::size_t>(memo_idx)]);
+      consumed[static_cast<std::size_t>(memo_idx)] = 1;
+      entry.layer.tasks = layer.tasks;
+      continue;
+    }
+    // A dirty layer's times are priced again with the arguments the
+    // lowering used, which yields the same doubles.
+    entry.members.reserve(layer.tasks.size());
+    entry.task_times.reserve(layer.tasks.size());
+    for (std::size_t i = 0; i < layer.tasks.size(); ++i) {
+      const core::TaskId id = layer.tasks[i];
+      const std::size_t g = static_cast<std::size_t>(layer.task_group[i]);
+      entry.members.push_back(
+          layered.contraction.members[static_cast<std::size_t>(id)]);
+      entry.task_times.push_back(ctx.cost->symbolic_task_time(
+          layered.contraction.contracted.task(id), layer.group_sizes[g],
+          layer.num_groups(), layered.total_cores));
+    }
+    entry.candidates = ctx.group_candidates[li];
+    entry.layer = layer;
+  }
+  ctx.memo = std::move(settled);
 }
 
 RepairStats stats_from(const PassContext& ctx, const GraphDelta* delta) {
@@ -41,13 +69,11 @@ RepairStats stats_from(const PassContext& ctx, const GraphDelta* delta) {
 
 IncrementalScheduler::IncrementalScheduler(const cost::CostModel& cost,
                                            LayerSchedulerOptions options)
-    : pipeline_(incremental_pipeline(cost, options)) {}
+    : pipeline_(Pipeline::algorithm1(cost, options, "incremental")) {}
 
 Schedule IncrementalScheduler::run(const core::TaskGraph& graph,
                                    int total_cores) const {
-  // Stateless: an extend from an empty memo is a plain full run.
-  PassContext ctx = pipeline_.make_context(graph, total_cores);
-  return pipeline_.run_with_context(ctx);
+  return pipeline_.run(graph, total_cores);
 }
 
 const Schedule& IncrementalScheduler::reset(core::TaskGraph graph,
@@ -55,7 +81,8 @@ const Schedule& IncrementalScheduler::reset(core::TaskGraph graph,
                                             double release_time) {
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.incremental.reset");
   PassContext ctx = pipeline_.make_context(graph, total_cores);
-  Schedule result = pipeline_.run_with_context(ctx);
+  Schedule result = pipeline_.run(ctx);
+  settle_memo(ctx, result.layered);
   // Commit only after the run succeeded, so a throwing cost model cannot
   // leave a half-reset session behind.
   graph_ = std::move(graph);
@@ -106,7 +133,8 @@ const Schedule& IncrementalScheduler::extend(const GraphDelta& delta) {
   ctx.memo = std::move(memo_);
   Schedule result;
   try {
-    result = pipeline_.run_with_context(ctx);
+    result = pipeline_.run(ctx);
+    settle_memo(ctx, result.layered);
   } catch (...) {
     memo_ = std::move(ctx.memo);
     throw;

@@ -377,20 +377,62 @@ std::string memo_signature(const LayerMemoEntry& entry) {
   return key;
 }
 
-/// Moves the pass results out of `ctx` and accumulates the predicted
-/// makespan -- the shared tail of Pipeline::run and Pipeline::run_layered.
-LayeredSchedule finalize_layered(PassContext& ctx) {
-  LayeredSchedule result;
-  result.total_cores = ctx.total_cores;
-  result.contraction = std::move(ctx.contraction);
-  result.layers = std::move(ctx.layers);
-  for (const ScheduledLayer& layer : result.layers) {
-    result.predicted_makespan += layer.predicted_time;
-  }
-  return result;
+}  // namespace
+
+std::vector<int> equal_group_sizes(int total, int g) {
+  if (g <= 0 || total < g) throw std::invalid_argument("bad group count");
+  std::vector<int> sizes(static_cast<std::size_t>(g), total / g);
+  for (int i = 0; i < total % g; ++i) sizes[static_cast<std::size_t>(i)] += 1;
+  return sizes;
 }
 
-}  // namespace
+std::vector<int> proportional_group_sizes(int total,
+                                          const std::vector<double>& weights) {
+  const int g = static_cast<int>(weights.size());
+  if (g <= 0 || total < g) throw std::invalid_argument("bad group count");
+  double sum = std::accumulate(weights.begin(), weights.end(), 0.0);
+  if (sum <= 0.0) return equal_group_sizes(total, g);
+
+  // Give every group its floor share (but at least 1 core), then distribute
+  // the remaining cores by largest fractional remainder.
+  std::vector<int> sizes(static_cast<std::size_t>(g), 0);
+  std::vector<double> remainder(static_cast<std::size_t>(g), 0.0);
+  int assigned = 0;
+  for (int i = 0; i < g; ++i) {
+    const double share =
+        static_cast<double>(total) * weights[static_cast<std::size_t>(i)] / sum;
+    int floor_share = static_cast<int>(share);
+    floor_share = std::max(floor_share, 1);
+    sizes[static_cast<std::size_t>(i)] = floor_share;
+    remainder[static_cast<std::size_t>(i)] = share - floor_share;
+    assigned += floor_share;
+  }
+  std::vector<int> order(static_cast<std::size_t>(g));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return remainder[static_cast<std::size_t>(a)] >
+           remainder[static_cast<std::size_t>(b)];
+  });
+  // Add missing cores to the largest remainders; remove surplus cores from
+  // the smallest remainders (never below 1).
+  int idx = 0;
+  while (assigned < total) {
+    sizes[static_cast<std::size_t>(order[static_cast<std::size_t>(idx % g)])]++;
+    ++assigned;
+    ++idx;
+  }
+  idx = g - 1;
+  while (assigned > total) {
+    int& s = sizes[static_cast<std::size_t>(
+        order[static_cast<std::size_t>(((idx % g) + g) % g)])];
+    if (s > 1) {
+      --s;
+      --assigned;
+    }
+    --idx;
+  }
+  return sizes;
+}
 
 void ContractChains::run(PassContext& ctx) const {
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.chain_contraction");
@@ -414,9 +456,6 @@ void GroupSearch::run(PassContext& ctx) const {
   for (const std::vector<core::TaskId>& tasks : ctx.layer_tasks) {
     const int n_tasks = static_cast<int>(tasks.size());
     int g_limit = std::min(P, n_tasks);
-    if (ctx.options.max_groups > 0) {
-      g_limit = std::min(g_limit, ctx.options.max_groups);
-    }
     int g_first = 1;
     if (ctx.options.fixed_groups > 0) {
       g_first = g_limit = std::min(ctx.options.fixed_groups,
@@ -610,19 +649,14 @@ void AdjustGroups::run(PassContext& ctx) const {
   }
 }
 
-Pipeline& Pipeline::append(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-  return *this;
-}
-
 Pipeline Pipeline::algorithm1(const cost::CostModel& cost,
-                              LayerSchedulerOptions options) {
-  Pipeline pipeline(cost, "layer", options);
-  pipeline.append(std::make_unique<ContractChains>())
-      .append(std::make_unique<Layerize>())
-      .append(std::make_unique<GroupSearch>())
-      .append(std::make_unique<AssignLPT>())
-      .append(std::make_unique<AdjustGroups>());
+                              LayerSchedulerOptions options, std::string name) {
+  Pipeline pipeline(cost, std::move(name), options);
+  pipeline.passes_.push_back(std::make_unique<ContractChains>());
+  pipeline.passes_.push_back(std::make_unique<Layerize>());
+  pipeline.passes_.push_back(std::make_unique<GroupSearch>());
+  pipeline.passes_.push_back(std::make_unique<AssignLPT>());
+  pipeline.passes_.push_back(std::make_unique<AdjustGroups>());
   return pipeline;
 }
 
@@ -643,110 +677,64 @@ PassContext Pipeline::make_context(const core::TaskGraph& graph,
   return ctx;
 }
 
-LayeredSchedule Pipeline::run_layered(const core::TaskGraph& graph,
-                                      int total_cores) const {
-  obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.schedule");
-  PassContext ctx = make_context(graph, total_cores);
-  for (const std::unique_ptr<Pass>& pass : passes_) pass->run(ctx);
-  return finalize_layered(ctx);
-}
-
 Schedule Pipeline::run(const core::TaskGraph& graph, int total_cores) const {
-  obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.schedule");
   PassContext ctx = make_context(graph, total_cores);
-  for (const std::unique_ptr<Pass>& pass : passes_) pass->run(ctx);
-  Schedule result = canonical(finalize_layered(ctx), *cost_, name_);
-  result.layouts = std::move(ctx.layouts);
-  result.notes = std::move(ctx.notes);
-  return result;
+  return run(ctx);
 }
 
-Schedule Pipeline::run_with_context(PassContext& ctx) const {
+Schedule Pipeline::run(PassContext& ctx) const {
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.schedule");
   for (const std::unique_ptr<Pass>& pass : passes_) pass->run(ctx);
 
-  // Per-task lowering times: the settled doubles from the memo for replayed
-  // layers, freshly priced for dirty ones.  Replaying the exact memoized
-  // doubles (instead of re-deriving durations from slot differences, which
-  // is not FP-exact) is what keeps the spliced Gantt byte-identical to a
-  // full re-schedule -- to_gantt then runs the identical accumulation
-  // arithmetic either way.
-  const core::TaskGraph& contracted = ctx.contraction.contracted;
-  const cost::CostModel& cost = *ctx.cost;
-  const int P = ctx.total_cores;
-  std::vector<double> time_of(
-      static_cast<std::size_t>(contracted.num_tasks()), 0.0);
-  std::vector<LayerMemoEntry> settled(ctx.layers.size());
-  {
-    obs::ScopedSpan settle_span(obs::SpanKind::Scheduler, "sched.memo_settle");
+  // Replayed layers lower through their memoized task times: re-deriving
+  // durations from slot differences is not FP-exact, and replaying the
+  // settled doubles keeps a spliced Gantt byte-identical to a full
+  // re-schedule.  Dirty layers are priced as they are lowered, so a run
+  // without a memo allocates nothing for this.
+  obs::ScopedSpan lowering_span(obs::SpanKind::Scheduler, "sched.lowering");
+  std::vector<const double*> replayed;
+  if (!ctx.memo.empty()) {
+    replayed.assign(
+        static_cast<std::size_t>(ctx.contraction.contracted.num_tasks()),
+        nullptr);
     for (std::size_t li = 0; li < ctx.layers.size(); ++li) {
-      const ScheduledLayer& layer = ctx.layers[li];
       const std::int32_t memo_idx =
           li < ctx.layer_memo.size() ? ctx.layer_memo[li] : -1;
-      if (memo_idx >= 0) {
-        const std::vector<double>& times =
-            ctx.memo[static_cast<std::size_t>(memo_idx)].task_times;
-        for (std::size_t i = 0; i < layer.tasks.size(); ++i) {
-          time_of[static_cast<std::size_t>(layer.tasks[i])] = times[i];
-        }
-      } else {
-        for (std::size_t i = 0; i < layer.tasks.size(); ++i) {
-          const core::TaskId id = layer.tasks[i];
-          const std::size_t g = static_cast<std::size_t>(layer.task_group[i]);
-          time_of[static_cast<std::size_t>(id)] = cost.symbolic_task_time(
-              contracted.task(id), layer.group_sizes[g], layer.num_groups(),
-              P);
-        }
+      if (memo_idx < 0) continue;
+      const std::vector<double>& times =
+          ctx.memo[static_cast<std::size_t>(memo_idx)].task_times;
+      const std::vector<core::TaskId>& tasks = ctx.layers[li].tasks;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        replayed[static_cast<std::size_t>(tasks[i])] = &times[i];
       }
-    }
-
-    // Settle the new memo before finalize_layered moves the working state
-    // out of the context.  A layer replayed from memo entry m has members,
-    // candidates, times, and layer content identical to that entry (that is
-    // what the signature match certified), so the entry is moved wholesale --
-    // only the contracted-id labels need refreshing.  Deep construction is
-    // reserved for dirty layers and duplicate hits on an already-moved
-    // entry.
-    std::vector<char> consumed(ctx.memo.size(), 0);
-    for (std::size_t li = 0; li < ctx.layers.size(); ++li) {
-      LayerMemoEntry& entry = settled[li];
-      const ScheduledLayer& layer = ctx.layers[li];
-      const std::int32_t memo_idx =
-          li < ctx.layer_memo.size() ? ctx.layer_memo[li] : -1;
-      if (memo_idx >= 0 && !consumed[static_cast<std::size_t>(memo_idx)]) {
-        entry = std::move(ctx.memo[static_cast<std::size_t>(memo_idx)]);
-        consumed[static_cast<std::size_t>(memo_idx)] = 1;
-        entry.layer.tasks = layer.tasks;
-        continue;
-      }
-      entry.members.reserve(layer.tasks.size());
-      entry.task_times.reserve(layer.tasks.size());
-      for (const core::TaskId id : layer.tasks) {
-        entry.members.push_back(
-            ctx.contraction.members[static_cast<std::size_t>(id)]);
-        entry.task_times.push_back(time_of[static_cast<std::size_t>(id)]);
-      }
-      entry.candidates = ctx.group_candidates[li];
-      entry.layer = layer;
     }
   }
 
-  obs::ScopedSpan lowering_span(obs::SpanKind::Scheduler, "sched.lowering");
   Schedule result;
   result.strategy = name_;
   result.settled_prefix_layers = ctx.settled_prefix;
-  result.layered = finalize_layered(ctx);
+  LayeredSchedule& layered = result.layered;
+  layered.total_cores = ctx.total_cores;
+  layered.contraction = std::move(ctx.contraction);
+  layered.layers = std::move(ctx.layers);
+  for (const ScheduledLayer& layer : layered.layers) {
+    layered.predicted_makespan += layer.predicted_time;
+  }
+  const core::TaskGraph& contracted = layered.contraction.contracted;
+  const cost::CostModel& cost = *ctx.cost;
   result.gantt =
-      to_gantt(result.layered, [&](core::TaskId id, int, int) {
-        return time_of[static_cast<std::size_t>(id)];
+      to_gantt(layered, [&](core::TaskId id, int q, int num_groups) {
+        const std::size_t task = static_cast<std::size_t>(id);
+        if (task < replayed.size() && replayed[task] != nullptr) {
+          return *replayed[task];
+        }
+        return cost.symbolic_task_time(contracted.task(id), q, num_groups,
+                                       layered.total_cores);
       });
   result.allocation.resize(result.gantt.slots.size());
   for (std::size_t id = 0; id < result.gantt.slots.size(); ++id) {
     result.allocation[id] = result.gantt.slots[id].num_cores();
   }
-  result.layouts = std::move(ctx.layouts);
-  result.notes = std::move(ctx.notes);
-  ctx.memo = std::move(settled);
   return result;
 }
 

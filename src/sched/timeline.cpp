@@ -314,10 +314,12 @@ sim::SimResult TimelineEvaluator::simulate(
           layout.groups[static_cast<std::size_t>(edge.consumer_group)];
       const RedistLowering lowering = lower_redistribution(edge, src, dst);
       if (lowering.empty()) continue;
-      std::vector<int> comm_ranks;
-      comm_ranks.reserve(lowering.placement.size());
-      for (int core : lowering.placement) comm_ranks.push_back(rank_of.at(core));
-      programs.add_collective(lowering.schedule, comm_ranks);
+      std::vector<int> redist_ranks;
+      redist_ranks.reserve(lowering.placement.size());
+      for (int core : lowering.placement) {
+        redist_ranks.push_back(rank_of.at(core));
+      }
+      programs.add_collective(lowering.schedule, redist_ranks);
     }
 
     // Tasks, group by group (tasks of one group run back-to-back in
@@ -424,16 +426,6 @@ const LayeredSchedule& require_layers(const Schedule& schedule) {
   return schedule.layered;
 }
 
-std::span<const cost::LayerLayout> require_layouts(const Schedule& schedule) {
-  if (schedule.layouts.empty()) {
-    throw std::invalid_argument(
-        "schedule '" + schedule.strategy +
-        "' carries no embedded layouts (run a mapping pass or pass them "
-        "explicitly)");
-  }
-  return schedule.layouts;
-}
-
 }  // namespace
 
 TimelineResult TimelineEvaluator::evaluate(
@@ -442,22 +434,10 @@ TimelineResult TimelineEvaluator::evaluate(
   return evaluate(require_layers(schedule), layouts, options);
 }
 
-TimelineResult TimelineEvaluator::evaluate(
-    const Schedule& schedule, const TimelineOptions& options) const {
-  return evaluate(require_layers(schedule), require_layouts(schedule),
-                  options);
-}
-
 sim::SimResult TimelineEvaluator::simulate(
     const Schedule& schedule, std::span<const cost::LayerLayout> layouts,
     const TimelineOptions& options) const {
   return simulate(require_layers(schedule), layouts, options);
-}
-
-sim::SimResult TimelineEvaluator::simulate(
-    const Schedule& schedule, const TimelineOptions& options) const {
-  return simulate(require_layers(schedule), require_layouts(schedule),
-                  options);
 }
 
 }  // namespace ptask::sched

@@ -561,7 +561,9 @@ TEST(AllocationSanity, MakespanFarPastTheLowerBoundIsWarned) {
   const Report r = Analyzer().lint(s, cm);
   ASSERT_GE(r.count(kMakespanBlowup), 1);
   for (const Diagnostic& d : r.diagnostics) {
-    if (d.code == kMakespanBlowup) EXPECT_EQ(d.severity, Severity::Warning);
+    if (d.code == kMakespanBlowup) {
+      EXPECT_EQ(d.severity, Severity::Warning);
+    }
   }
 }
 

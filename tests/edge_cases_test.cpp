@@ -10,7 +10,7 @@
 #include "ptask/cost/hybrid_model.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 #include "ptask/viz/gantt.hpp"
 
@@ -36,7 +36,8 @@ Mapped mapped_irk(const arch::Machine& m, int cores) {
   spec.iterations = 2;
   const cost::CostModel cm(m);
   Mapped out;
-  out.schedule = sched::LayerScheduler(cm).schedule(spec.step_graph(), cores);
+  out.schedule =
+      sched::Pipeline::algorithm1(cm).run(spec.step_graph(), cores).layered;
   out.layouts =
       map::map_schedule(out.schedule, m, map::Strategy::Consecutive);
   return out;
@@ -52,7 +53,7 @@ TEST(TimelineOptions, DisablingRedistributionLowersTheEstimate) {
   sched::LayerSchedulerOptions so;
   so.fixed_groups = 2;
   const sched::LayeredSchedule s =
-      sched::LayerScheduler(cm, so).schedule(spec.step_graph(), 16);
+      sched::Pipeline::algorithm1(cm, so).run(spec.step_graph(), 16).layered;
   const auto layouts = map::map_schedule(s, m, map::Strategy::Consecutive);
   const sched::TimelineEvaluator eval(cm);
   sched::TimelineOptions with, without;
@@ -86,7 +87,7 @@ TEST(TimelineOptions, MoreExplicitRepeatsRefineTheSimulation) {
   const arch::Machine m = machine();
   const cost::CostModel cm(m);
   const sched::LayeredSchedule s =
-      sched::LayerScheduler(cm).schedule(spec.step_graph(), 16);
+      sched::Pipeline::algorithm1(cm).run(spec.step_graph(), 16).layered;
   const auto layouts = map::map_schedule(s, m, map::Strategy::Consecutive);
   const sched::TimelineEvaluator eval(cm);
   sched::TimelineOptions few, many;
@@ -191,7 +192,8 @@ TEST(Machine, SingleCoreMachineWorksEndToEnd) {
   const cost::CostModel cm(m);
   core::TaskGraph g;
   g.add_task(core::MTask("only", 1e9));
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 1);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 1).layered;
   const auto layouts = map::map_schedule(s, m, map::Strategy::Consecutive);
   const sched::TimelineEvaluator eval(cm);
   EXPECT_NEAR(eval.evaluate(s, layouts).makespan, 1.0, 1e-9);
@@ -203,7 +205,8 @@ TEST(Viz, HandlesEmptyAndTinySchedules) {
   g.add_task(core::MTask("lonely", 1e6));
   const arch::Machine m = machine();
   const cost::CostModel cm(m);
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 4);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 4).layered;
   const sched::GanttSchedule gantt =
       sched::to_gantt(s, [&](core::TaskId id, int q, int groups) {
         return cm.symbolic_task_time(s.contraction.contracted.task(id), q,
@@ -230,7 +233,8 @@ TEST(DataParallel, MatchesLayerSchedulerWithForcedSingleGroup) {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = 1;
   const double forced =
-      sched::LayerScheduler(cm, opts).schedule(g, 16).predicted_makespan;
+      sched::Pipeline::algorithm1(cm, opts).run(g, 16).layered
+          .predicted_makespan;
   EXPECT_DOUBLE_EQ(dp, forced);
 }
 

@@ -243,13 +243,12 @@ TEST(IncrementalScheduler, OneShotRunMatchesTheLayerStrategyModuloName) {
 }
 
 // ---------------------------------------------------------------------------
-// Re-entrant pass pipeline: re-running on an unchanged context is a no-op.
+// Re-entrant memo: an empty delta replays every settled layer.
 // ---------------------------------------------------------------------------
 
 TEST(PassContextReuse, RerunWithoutDeltaIsANoOpAcrossFamiliesAndSeeds) {
   const arch::Machine machine = test_machine();
   const cost::CostModel cost(machine);
-  const Pipeline pipeline = Pipeline::algorithm1(cost);
   const std::uint64_t base = fuzz::substream(base_seed(), 0x9E05);
   constexpr int kSeedsPerFamily = 8;
 
@@ -276,18 +275,19 @@ TEST(PassContextReuse, RerunWithoutDeltaIsANoOpAcrossFamiliesAndSeeds) {
           graph = fuzz::npb_multizone_graph(rng);
           break;
       }
-      PassContext ctx = pipeline.make_context(graph, 64);
-      const Schedule first = pipeline.run_with_context(ctx);
-      EXPECT_EQ(ctx.layers_reused, 0u) << "first run has nothing to reuse";
-      const Schedule second = pipeline.run_with_context(ctx);
+      IncrementalScheduler inc(cost);
+      const Schedule first = inc.reset(graph, 64);
+      EXPECT_EQ(inc.last_stats().layers_reused, 0u)
+          << "first run has nothing to reuse";
+      const Schedule& second = inc.extend(GraphDelta{});
       EXPECT_EQ(serve::serialize_schedule(second),
                 serve::serialize_schedule(first))
           << fuzz::to_string(static_cast<fuzz::GraphFamily>(family))
           << " seed index " << s;
-      EXPECT_EQ(ctx.layers_scheduled, 0u)
-          << "re-running an unchanged context must not re-schedule layers";
-      EXPECT_EQ(ctx.layers_reused, second.num_layers());
-      EXPECT_EQ(ctx.settled_prefix, second.num_layers());
+      EXPECT_EQ(inc.last_stats().layers_scheduled, 0u)
+          << "an empty delta must not re-schedule layers";
+      EXPECT_EQ(inc.last_stats().layers_reused, second.num_layers());
+      EXPECT_EQ(inc.last_stats().settled_prefix, second.num_layers());
     }
   }
 }

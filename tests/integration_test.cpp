@@ -14,7 +14,7 @@
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/rt/executor.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 #include "ptask/sched/validation.hpp"
 
@@ -54,7 +54,7 @@ TEST_P(PipelineTest, SpecToSimulation) {
   const arch::Machine m = machine(c.cores / 4);
   const cost::CostModel cm(m);
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cm).schedule(g, c.cores);
+      sched::Pipeline::algorithm1(cm).run(g, c.cores).layered;
   ASSERT_TRUE(sched::validate(schedule, g).ok());
 
   const std::vector<cost::LayerLayout> layouts =
@@ -185,7 +185,7 @@ TEST_P(EpolRuntimeTest, ScheduledExecutionMatchesSequentialSolver) {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = fixed_groups;
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cm, opts).schedule(g, 8);
+      sched::Pipeline::algorithm1(cm, opts).run(g, 8).layered;
   ASSERT_TRUE(sched::validate(schedule, g).ok());
 
   std::vector<rt::TaskFn> fns = program.build_functions(g);
@@ -232,7 +232,7 @@ double run_multizone(int fixed_groups, int steps) {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = fixed_groups;
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cm, opts).schedule(g, 8);
+      sched::Pipeline::algorithm1(cm, opts).run(g, 8).layered;
 
   std::vector<rt::TaskFn> fns(static_cast<std::size_t>(g.num_tasks()));
   for (core::TaskId id = 0; id < g.num_tasks(); ++id) {

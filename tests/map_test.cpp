@@ -7,7 +7,7 @@
 
 #include "ptask/map/core_sequence.hpp"
 #include "ptask/map/mapping.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 
 namespace ptask::map {
 namespace {
@@ -147,7 +147,8 @@ TEST(MapSchedule, MapsEveryLayer) {
   }
   const arch::Machine m = machine4x4();
   const cost::CostModel cm(m);
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 16);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 16).layered;
   const std::vector<cost::LayerLayout> layouts =
       map_schedule(s, m, Strategy::Mixed, 2);
   ASSERT_EQ(layouts.size(), s.layers.size());
@@ -162,7 +163,7 @@ TEST(MapSchedule, RejectsOversizedSchedules) {
   g.add_task(core::MTask("t", 1.0));
   const arch::Machine m = machine4x4();
   const cost::CostModel cm(m);
-  sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 16);
+  sched::LayeredSchedule s = sched::Pipeline::algorithm1(cm).run(g, 16).layered;
   s.total_cores = 999;
   EXPECT_THROW(map_schedule(s, m, Strategy::Consecutive),
                std::invalid_argument);

@@ -10,7 +10,7 @@
 #include "ptask/npb/multizone.hpp"
 #include "ptask/npb/stencil.hpp"
 #include "ptask/npb/zones.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/validation.hpp"
 
 namespace ptask::npb {
@@ -116,7 +116,7 @@ TEST(Multizone, ScheduleWithFixedGroupsIsValid) {
     sched::LayerSchedulerOptions opts;
     opts.fixed_groups = groups;
     const sched::LayeredSchedule s =
-        sched::LayerScheduler(cm, opts).schedule(g, 64);
+        sched::Pipeline::algorithm1(cm, opts).run(g, 64).layered;
     EXPECT_EQ(s.layers[0].num_groups(), groups);
     EXPECT_TRUE(sched::validate(s, g).ok()) << groups;
   }
@@ -138,7 +138,7 @@ TEST(Multizone, BtLoadImbalanceGrowsWithGroupCount) {
     opts.fixed_groups = groups;
     opts.adjust_group_sizes = false;
     const sched::LayeredSchedule s =
-        sched::LayerScheduler(cm, opts).schedule(g, 64);
+        sched::Pipeline::algorithm1(cm, opts).run(g, 64).layered;
     std::vector<double> acc(static_cast<std::size_t>(groups), 0.0);
     const sched::ScheduledLayer& layer = s.layers[0];
     for (std::size_t i = 0; i < layer.tasks.size(); ++i) {

@@ -25,7 +25,7 @@
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/rt/dynamic_scheduler.hpp"
 #include "ptask/rt/executor.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/schedule.hpp"
 
 namespace ptask::obs {
@@ -515,7 +515,7 @@ TEST(Calibration, SymbolicTimelineIsTheZeroErrorOracle) {
   const cost::CostModel cost(machine());
   const core::TaskGraph graph = pabm_program();
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost).schedule(graph, 8);
+      sched::Pipeline::algorithm1(cost).run(graph, 8).layered;
   const core::TaskGraph& contracted = schedule.contraction.contracted;
   const sched::GanttSchedule gantt =
       sched::to_gantt(schedule, [&](core::TaskId id, int q, int g) {
@@ -549,7 +549,7 @@ TEST(Calibration, MeasuredSlowerThanModelGivesPositiveError) {
   const cost::CostModel cost(machine());
   const core::TaskGraph graph = pabm_program();
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cost).schedule(graph, 8);
+      sched::Pipeline::algorithm1(cost).run(graph, 8).layered;
   const core::TaskGraph& contracted = schedule.contraction.contracted;
   // "Measured" runs 2x slower than predicted everywhere.
   const sched::GanttSchedule gantt =

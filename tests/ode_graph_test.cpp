@@ -6,7 +6,7 @@
 #include "ptask/ode/bruss2d.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/validation.hpp"
 
 namespace ptask::ode {
@@ -36,8 +36,8 @@ sched::LayeredSchedule tp_schedule(const SolverGraphSpec& spec, int cores) {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = spec.method == Method::EPOL ? spec.stages / 2
                                                   : spec.stages;
-  const sched::LayerScheduler sched(cm, opts);
-  return sched.schedule(spec.step_graph(), cores);
+  const sched::Pipeline sched = sched::Pipeline::algorithm1(cm, opts);
+  return sched.run(spec.step_graph(), cores).layered;
 }
 
 sched::LayeredSchedule dp_schedule(const SolverGraphSpec& spec, int cores) {
@@ -216,7 +216,7 @@ TEST(EpolProgramSpec, BodyIsSchedulable) {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = 4;  // the paper's R/2 scheme (Fig. 6 middle)
   const sched::LayeredSchedule s =
-      sched::LayerScheduler(cm, opts).schedule(body.graph, 64);
+      sched::Pipeline::algorithm1(cm, opts).run(body.graph, 64).layered;
   ASSERT_GE(s.layers.size(), 2u);
   EXPECT_EQ(s.layers.front().num_groups(), 4);
   EXPECT_TRUE(sched::validate(s, body.graph).ok());

@@ -246,8 +246,8 @@ INSTANTIATE_TEST_SUITE_P(
                   [] { return std::make_unique<Pabm>(2, 2); }},
         OrderCase{"PABM_K3_m2", 4,
                   [] { return std::make_unique<Pabm>(3, 2); }}),
-    [](const ::testing::TestParamInfo<OrderCase>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<OrderCase>& param_info) {
+      return param_info.param.name;
     });
 
 // Cross-method agreement: all methods must converge to the same trajectory.

@@ -1,9 +1,9 @@
 // Tests for the pass-based scheduling pipeline (pipeline.hpp): every pass
 // in isolation over a hand-built PassContext, pipeline composition
-// (Algorithm 1 chain, mapping as a sixth pass, canonical assembly), the
+// (Algorithm 1 chain, canonical assembly), the
 // scheduler registry, the canonical conversions, and -- the load-bearing
 // property -- byte-identical equivalence between the composed pipeline and
-// a verbatim copy of the pre-refactor monolithic LayerScheduler
+// a verbatim copy of the pre-refactor monolithic layer scheduler
 // (reference_layer_scheduler.hpp) on all five fuzz graph families.
 
 #include <gtest/gtest.h>
@@ -19,12 +19,12 @@
 #include "ptask/cost/cost_model.hpp"
 #include "ptask/fuzz/generator.hpp"
 #include "ptask/fuzz/rng.hpp"
-#include "ptask/map/mapping.hpp"
 #include "ptask/obs/metrics.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/cpa_scheduler.hpp"
 #include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/registry.hpp"
+#include "ptask/serve/protocol.hpp"
 #include "reference_layer_scheduler.hpp"
 
 namespace ptask::sched {
@@ -118,8 +118,9 @@ core::TaskGraph family_graph(fuzz::GraphFamily family, fuzz::Rng& rng) {
 TEST(PipelineEquivalence, ReproducesMonolithOnAllFamilies) {
   // 5 families x 25 seeds = 125 cases with the default options, plus one
   // rotating non-default option set per case (forced groups, no chain
-  // contraction, no adjustment, clipped search, parallel layers, and
-  // combinations of them).
+  // contraction, no adjustment, parallel layers, and combinations of them).
+  // Each default case also pins the lowering of Pipeline::run byte for byte
+  // to canonical()'s, the one dp and perfbench use.
   const std::uint64_t base =
       fuzz::substream(fuzz::seed_from_env(fuzz::kDefaultFuzzSeed), 0x9191);
   const std::vector<fuzz::GraphFamily> families = {
@@ -131,11 +132,12 @@ TEST(PipelineEquivalence, ReproducesMonolithOnAllFamilies) {
     v[0].fixed_groups = 2;
     v[1].contract_chains = false;
     v[2].adjust_group_sizes = false;
-    v[3].max_groups = 3;
+    v[3].fixed_groups = 3;
+    v[3].contract_chains = false;
     v[4].parallel_layers = 4;
     v[5].contract_chains = false;
     v[5].parallel_layers = 3;
-    v[6].max_groups = 2;
+    v[6].contract_chains = false;
     v[6].adjust_group_sizes = false;
     v[7].fixed_groups = 4;
     v[7].parallel_layers = 2;
@@ -158,34 +160,23 @@ TEST(PipelineEquivalence, ReproducesMonolithOnAllFamilies) {
           std::string(to_string(families[f])) + " seed " + std::to_string(s) +
           " cores " + std::to_string(cores);
 
-      expect_identical(
-          ReferenceLayerScheduler(cost).schedule(graph, cores),
-          Pipeline::algorithm1(cost).run_layered(graph, cores), label);
+      const Schedule schedule = Pipeline::algorithm1(cost).run(graph, cores);
+      expect_identical(ReferenceLayerScheduler(cost).schedule(graph, cores),
+                       schedule.layered, label);
+      EXPECT_EQ(serve::serialize_schedule(schedule),
+                serve::serialize_schedule(
+                    canonical(schedule.layered, cost, "layer")))
+          << label;
       const LayerSchedulerOptions& opt = variants[static_cast<std::size_t>(
           s % static_cast<int>(variants.size()))];
       expect_identical(
           ReferenceLayerScheduler(cost, opt).schedule(graph, cores),
-          Pipeline::algorithm1(cost, opt).run_layered(graph, cores),
+          Pipeline::algorithm1(cost, opt).run(graph, cores).layered,
           label + " (variant)");
       ++cases;
     }
   }
   EXPECT_EQ(cases, 125);
-}
-
-TEST(PipelineEquivalence, LayerSchedulerFacadeMatchesPipeline) {
-  // The historical entry point must be the same computation.
-  const arch::Machine m = machine();
-  const cost::CostModel cost(m);
-  ode::SolverGraphSpec spec;
-  spec.method = ode::Method::PABM;
-  spec.n = 1 << 12;
-  spec.stages = 4;
-  spec.iterations = 2;
-  const core::TaskGraph graph = spec.step_graph();
-  expect_identical(LayerScheduler(cost).schedule(graph, 32),
-                   Pipeline::algorithm1(cost).run_layered(graph, 32),
-                   "facade");
 }
 
 TEST(PipelineEquivalence, TiesOnlyAtSmallGroupsReplayTheSortHistory) {
@@ -231,14 +222,14 @@ TEST(PipelineEquivalence, TiesOnlyAtSmallGroupsReplayTheSortHistory) {
   unadjusted.adjust_group_sizes = false;
   obs::metrics().reset();
   const LayeredSchedule layered =
-      Pipeline::algorithm1(cost, unadjusted).run_layered(graph, P);
+      Pipeline::algorithm1(cost, unadjusted).run(graph, P).layered;
   EXPECT_GT(obs::metrics().counter("sched.prune.pruned").value(), 0u);
   ASSERT_EQ(layered.layers.size(), 1u);
   EXPECT_EQ(layered.layers[0].group_sizes, std::vector<int>(128, 4));
   expect_identical(ReferenceLayerScheduler(cost, unadjusted).schedule(graph, P),
                    layered, "ties, unadjusted");
   expect_identical(ReferenceLayerScheduler(cost).schedule(graph, P),
-                   Pipeline::algorithm1(cost).run_layered(graph, P), "ties");
+                   Pipeline::algorithm1(cost).run(graph, P).layered, "ties");
 }
 
 TEST(PipelineEquivalence, ReproducesMonolithOnWideLayersAtP1024) {
@@ -262,7 +253,7 @@ TEST(PipelineEquivalence, ReproducesMonolithOnWideLayersAtP1024) {
   }
   EXPECT_GE(widest, 100u);
   expect_identical(reference,
-                   Pipeline::algorithm1(cost).run_layered(graph, 1024),
+                   Pipeline::algorithm1(cost).run(graph, 1024).layered,
                    "P=1024");
 }
 
@@ -325,17 +316,8 @@ TEST_F(PassTest, GroupSearchEnumeratesFullRange) {
   EXPECT_EQ(ctx.group_candidates[0], (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST_F(PassTest, GroupSearchHonoursMaxAndFixedGroups) {
+TEST_F(PassTest, GroupSearchHonoursFixedGroups) {
   const core::TaskGraph graph = independent_tasks({1e9, 1e9, 1e9, 1e9});
-  {
-    LayerSchedulerOptions options;
-    options.max_groups = 2;
-    PassContext ctx = make_ctx(graph, cost_, 8, options);
-    ContractChains().run(ctx);
-    Layerize().run(ctx);
-    GroupSearch().run(ctx);
-    EXPECT_EQ(ctx.group_candidates[0], (std::vector<int>{1, 2}));
-  }
   {
     LayerSchedulerOptions options;
     options.fixed_groups = 3;
@@ -494,20 +476,6 @@ TEST_F(PipelineTest, RunAssemblesCanonicalSchedule) {
               1e-9 * s.layered.predicted_makespan);
   EXPECT_THROW(Pipeline::algorithm1(cost_).run(graph, 0),
                std::invalid_argument);
-}
-
-TEST_F(PipelineTest, MapCoresPassBindsPhysicalLayoutsAsSixthStage) {
-  const core::TaskGraph graph = solver_graph();
-  Pipeline pipeline = Pipeline::algorithm1(cost_);
-  pipeline.append(std::make_unique<map::MapCoresPass>());
-  const Schedule s = pipeline.run(graph, 16);
-  ASSERT_TRUE(s.has_layers());
-  EXPECT_EQ(s.layouts.size(), s.num_layers());
-  bool noted = false;
-  for (const std::string& note : s.notes) {
-    noted |= note.rfind("map-cores", 0) == 0;
-  }
-  EXPECT_TRUE(noted) << "mapping pass left no note";
 }
 
 TEST_F(PipelineTest, CanonicalMoldableResultKeepsGanttAndAllocation) {

@@ -22,7 +22,7 @@
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/cpa_scheduler.hpp"
 #include "ptask/sched/cpr_scheduler.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 #include "ptask/sched/validation.hpp"
 
@@ -92,7 +92,7 @@ TEST_P(RandomGraphTest, AllSchedulersProduceValidSchedules) {
   const cost::CostModel cm(m);
 
   const sched::LayeredSchedule layered =
-      sched::LayerScheduler(cm).schedule(g, cores);
+      sched::Pipeline::algorithm1(cm).run(g, cores).layered;
   const sched::ValidationReport lr = sched::validate(layered, g);
   EXPECT_TRUE(lr.ok()) << lr.errors.front();
   EXPECT_GT(layered.predicted_makespan, 0.0);
@@ -113,7 +113,8 @@ TEST_P(RandomGraphTest, MappingsAreAlwaysDisjointPermutationSlices) {
   const int cores = 4 * rng.uniform(1, 16);
   const arch::Machine m = machine();
   const cost::CostModel cm(m);
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, cores);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, cores).layered;
   for (map::Strategy strategy :
        {map::Strategy::Consecutive, map::Strategy::Scattered,
         map::Strategy::Mixed}) {
@@ -255,7 +256,8 @@ TEST_P(RandomGraphTest, SimulatedMakespanBoundsHold) {
   const int cores = 4 * rng.uniform(1, 8);
   const arch::Machine m = machine();
   const cost::CostModel cm(m);
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, cores);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, cores).layered;
   const std::vector<cost::LayerLayout> layouts =
       map::map_schedule(s, m, map::Strategy::Consecutive);
   const sched::TimelineEvaluator eval(cm);
@@ -295,7 +297,8 @@ TEST(RepeatGraph, ChainsStepCopiesWithStateEdges) {
   // A three-step program is schedulable and valid.
   const arch::Machine m = machine();
   const cost::CostModel cm(m);
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(program, 16);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(program, 16).layered;
   EXPECT_TRUE(sched::validate(s, program).ok());
   // Layer count: 2 per step (chains + combine).
   EXPECT_EQ(s.layers.size(), 6u);

@@ -18,7 +18,7 @@
 
 #include "ptask/core/graph_algorithms.hpp"
 #include "ptask/cost/cost_model.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 
 namespace ptask::sched {
 
@@ -69,9 +69,6 @@ class ReferenceLayerScheduler {
     const int P = total_cores;
     const int n_tasks = static_cast<int>(tasks.size());
     int g_limit = std::min(P, n_tasks);
-    if (options_.max_groups > 0) {
-      g_limit = std::min(g_limit, options_.max_groups);
-    }
     int g_first = 1;
     if (options_.fixed_groups > 0) {
       g_first = g_limit = std::min(options_.fixed_groups, std::min(P, n_tasks));

@@ -12,7 +12,7 @@
 #include "ptask/rt/executor.hpp"
 #include "ptask/rt/group_comm.hpp"
 #include "ptask/rt/thread_team.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 
 namespace ptask::rt {
 namespace {
@@ -162,7 +162,8 @@ TEST(Executor, RunsEveryTaskSpmdOnItsGroup) {
     g.add_task(std::move(t));
   }
   const cost::CostModel cm(machine());
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 8);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 8).layered;
 
   std::vector<std::atomic<int>> invocations(4);
   std::vector<std::atomic<int>> group_sizes(4);
@@ -190,7 +191,8 @@ TEST(Executor, ChainMembersRunInOrderOnTheSameGroup) {
   const core::TaskId b = g.add_task(core::MTask("b", 1.0));
   g.add_edge(a, b);
   const cost::CostModel cm(machine());
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 4);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 4).layered;
 
   std::vector<int> order;
   std::mutex mtx;
@@ -226,7 +228,8 @@ TEST(Executor, LayersAreSynchronized) {
   g.add_edge(p2, c);
 
   const cost::CostModel cm(machine());
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 4);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 4).layered;
   std::atomic<int> produced{0};
   std::atomic<int> seen{-1};
   std::vector<TaskFn> fns(3);
@@ -257,7 +260,7 @@ TEST(Executor, OrthogonalCommunicatorsBindSamePositions) {
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = 4;
   const sched::LayeredSchedule s =
-      sched::LayerScheduler(cm, opts).schedule(g, 8);
+      sched::Pipeline::algorithm1(cm, opts).run(g, 8).layered;
 
   std::vector<double> sums(8, 0.0);
   std::vector<TaskFn> fns(4);
@@ -479,7 +482,8 @@ TEST(Executor, NoOrthogonalCommWithSingleGroup) {
   core::TaskGraph g;
   g.add_task(core::MTask("t", 1.0));
   const cost::CostModel cm(machine());
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 4);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 4).layered;
   std::vector<TaskFn> fns(1);
   fns[0] = [](ExecContext& ctx) { EXPECT_EQ(ctx.orth, nullptr); };
   Executor exec(4);
@@ -490,7 +494,8 @@ TEST(Executor, SizeMismatchThrows) {
   core::TaskGraph g;
   g.add_task(core::MTask("t", 1.0));
   const cost::CostModel cm(machine());
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 4);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 4).layered;
   Executor exec(8);
   EXPECT_THROW(exec.run(s, std::vector<TaskFn>(1)), std::invalid_argument);
 }
@@ -499,7 +504,8 @@ TEST(Executor, EmptyFunctionsAreSkipped) {
   core::TaskGraph g;
   g.add_task(core::MTask("t", 1.0));
   const cost::CostModel cm(machine());
-  const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(g, 2);
+  const sched::LayeredSchedule s =
+      sched::Pipeline::algorithm1(cm).run(g, 2).layered;
   Executor exec(2);
   EXPECT_NO_THROW(exec.run(s, std::vector<TaskFn>(1)));  // default (empty) fn
 }

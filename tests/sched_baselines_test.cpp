@@ -7,7 +7,7 @@
 #include "ptask/sched/cpa_scheduler.hpp"
 #include "ptask/sched/cpr_scheduler.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/moldable.hpp"
 #include "ptask/sched/validation.hpp"
 
@@ -256,7 +256,7 @@ TEST(Baselines, LayerSchedulerBeatsCpaOnStageGraphs) {
   const arch::Machine m = machine(16);
   const cost::CostModel cm(m);
 
-  const LayeredSchedule layered = LayerScheduler(cm).schedule(g, 64);
+  const LayeredSchedule layered = Pipeline::algorithm1(cm).run(g, 64).layered;
   const MoldableResult cpa = CpaScheduler(cm).schedule(g, 64);
   EXPECT_LT(layered.predicted_makespan, cpa.schedule.makespan);
 }

@@ -128,7 +128,7 @@ TEST(PerfKnobDifferential, EveryKnobIsBitTransparentOnAllFamilies) {
                                   std::to_string(threads) + " threads]";
         expect_identical(
             reference,
-            Pipeline::algorithm1(cost, opt).run_layered(graph, cores), label);
+            Pipeline::algorithm1(cost, opt).run(graph, cores).layered, label);
         expect_same_schedule(reference_canonical,
                              Pipeline::algorithm1(cost, opt).run(graph, cores),
                              label);
@@ -156,7 +156,7 @@ TEST(PruneCounters, DeterministicPruneCountOnSequentialTasks) {
 
   obs::metrics().reset();
   const LayeredSchedule pruned =
-      Pipeline::algorithm1(cost).run_layered(graph, 16);
+      Pipeline::algorithm1(cost).run(graph, 16).layered;
   EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 2u);
   EXPECT_EQ(obs::metrics().counter("sched.prune.pruned").value(), 6u);
   // g=2 wins (loads 100 and 7 units against the incumbent's 107), so no
@@ -186,7 +186,7 @@ TEST(PruneCounters, DeterministicAbortCountOnEqualParallelTasks) {
 
   obs::metrics().reset();
   const LayeredSchedule pruned =
-      Pipeline::algorithm1(cost).run_layered(graph, 16);
+      Pipeline::algorithm1(cost).run(graph, 16).layered;
   EXPECT_EQ(obs::metrics().counter("sched.prune.evaluated").value(), 7u);
   EXPECT_EQ(obs::metrics().counter("sched.prune.aborted").value(), 6u);
   EXPECT_EQ(obs::metrics().counter("sched.prune.pruned").value(), 1u);
@@ -232,7 +232,7 @@ TEST(SchedulerEdgeCases, ZeroWorkGroupsSurviveAdjustment) {
   LayerSchedulerOptions opt;
   opt.fixed_groups = 2;
   const LayeredSchedule schedule =
-      Pipeline::algorithm1(cost, opt).run_layered(graph, 8);
+      Pipeline::algorithm1(cost, opt).run(graph, 8).layered;
   ASSERT_EQ(schedule.layers.size(), 1u);
   const ScheduledLayer& layer = schedule.layers[0];
   ASSERT_EQ(layer.num_groups(), 2);
@@ -253,7 +253,7 @@ TEST(SchedulerEdgeCases, FixedGroupsClampsToTaskAndCoreCount) {
   // Clamped to the layer's task count...
   core::TaskGraph three = independent_tasks({1.0e9, 2.0e9, 3.0e9});
   const LayeredSchedule by_tasks =
-      Pipeline::algorithm1(cost, opt).run_layered(three, 8);
+      Pipeline::algorithm1(cost, opt).run(three, 8).layered;
   ASSERT_EQ(by_tasks.layers.size(), 1u);
   EXPECT_EQ(by_tasks.layers[0].num_groups(), 3);
 
@@ -261,7 +261,7 @@ TEST(SchedulerEdgeCases, FixedGroupsClampsToTaskAndCoreCount) {
   core::TaskGraph wide =
       independent_tasks({1.0e9, 2.0e9, 3.0e9, 4.0e9, 5.0e9});
   const LayeredSchedule by_cores =
-      Pipeline::algorithm1(cost, opt).run_layered(wide, 2);
+      Pipeline::algorithm1(cost, opt).run(wide, 2).layered;
   ASSERT_EQ(by_cores.layers.size(), 1u);
   EXPECT_EQ(by_cores.layers[0].num_groups(), 2);
 }
@@ -279,7 +279,7 @@ TEST(SchedulerEdgeCases, SingleTaskLayersGetOneGroupWithAllCores) {
   LayerSchedulerOptions opt;
   opt.contract_chains = false;
   const LayeredSchedule schedule =
-      Pipeline::algorithm1(cost, opt).run_layered(graph, 16);
+      Pipeline::algorithm1(cost, opt).run(graph, 16).layered;
   ASSERT_EQ(schedule.layers.size(), 4u);
   for (const ScheduledLayer& layer : schedule.layers) {
     EXPECT_EQ(layer.group_sizes, (std::vector<int>{16}));
@@ -294,7 +294,7 @@ TEST(SchedulerEdgeCases, ParallelLayersBeyondLayerCountIsHarmless) {
   LayerSchedulerOptions opt;
   opt.parallel_layers = 64;  // one layer; workers clamp to the layer count
   expect_identical(ReferenceLayerScheduler(cost).schedule(graph, 8),
-                   Pipeline::algorithm1(cost, opt).run_layered(graph, 8),
+                   Pipeline::algorithm1(cost, opt).run(graph, 8).layered,
                    "parallel_layers > n_layers");
 }
 

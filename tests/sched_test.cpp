@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "ptask/ode/graph_gen.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/validation.hpp"
 
 namespace ptask::sched {
@@ -67,8 +67,8 @@ class LayerSchedulerTest : public ::testing::Test {
 
 TEST_F(LayerSchedulerTest, SingleTaskGetsAllCores) {
   core::TaskGraph g = independent_tasks({1.0e12});
-  const LayerScheduler sched(cost_);
-  const LayeredSchedule s = sched.schedule(g, 16);
+  const Pipeline sched = Pipeline::algorithm1(cost_);
+  const LayeredSchedule s = sched.run(g, 16).layered;
   ASSERT_EQ(s.layers.size(), 1u);
   EXPECT_EQ(s.layers[0].num_groups(), 1);
   EXPECT_EQ(s.layers[0].group_sizes[0], 16);
@@ -84,8 +84,8 @@ TEST_F(LayerSchedulerTest, CommHeavyIndependentTasksSplitIntoGroups) {
                                   core::CommScope::Group, 8u << 20, 4});
     g.add_task(std::move(t));
   }
-  const LayerScheduler sched(cost_);
-  const LayeredSchedule s = sched.schedule(g, 64);
+  const Pipeline sched = Pipeline::algorithm1(cost_);
+  const LayeredSchedule s = sched.run(g, 64).layered;
   ASSERT_EQ(s.layers.size(), 1u);
   EXPECT_GT(s.layers[0].num_groups(), 1);
   const ValidationReport report = validate(s, g);
@@ -97,8 +97,8 @@ TEST_F(LayerSchedulerTest, PureComputeTasksPreferDataParallel) {
   // cores one after another has the same predicted time as any split, and
   // the search keeps the first (g=1) optimum.
   core::TaskGraph g = independent_tasks({1e9, 1e9, 1e9, 1e9});
-  const LayerScheduler sched(cost_);
-  const LayeredSchedule s = sched.schedule(g, 8);
+  const Pipeline sched = Pipeline::algorithm1(cost_);
+  const LayeredSchedule s = sched.run(g, 8).layered;
   EXPECT_EQ(s.layers[0].num_groups(), 1);
 }
 
@@ -114,8 +114,8 @@ TEST_F(LayerSchedulerTest, GroupAdjustmentFollowsWork) {
   }
   LayerSchedulerOptions opts;
   opts.fixed_groups = 2;
-  const LayerScheduler sched(cost_, opts);
-  const LayeredSchedule s = sched.schedule(g, 16);
+  const Pipeline sched = Pipeline::algorithm1(cost_, opts);
+  const LayeredSchedule s = sched.run(g, 16).layered;
   ASSERT_EQ(s.layers[0].num_groups(), 2);
   std::vector<int> sizes = s.layers[0].group_sizes;
   std::sort(sizes.begin(), sizes.end());
@@ -133,8 +133,8 @@ TEST_F(LayerSchedulerTest, AdjustmentCanBeDisabled) {
   LayerSchedulerOptions opts;
   opts.fixed_groups = 2;
   opts.adjust_group_sizes = false;
-  const LayerScheduler sched(cost_, opts);
-  const LayeredSchedule s = sched.schedule(g, 16);
+  const Pipeline sched = Pipeline::algorithm1(cost_, opts);
+  const LayeredSchedule s = sched.run(g, 16).layered;
   EXPECT_EQ(s.layers[0].group_sizes, (std::vector<int>{8, 8}));
 }
 
@@ -144,8 +144,8 @@ TEST_F(LayerSchedulerTest, LptAssignmentBalancesAccumulatedTime) {
   LayerSchedulerOptions opts;
   opts.fixed_groups = 2;
   opts.adjust_group_sizes = false;
-  const LayerScheduler sched(cost_, opts);
-  const LayeredSchedule s = sched.schedule(g, 8);
+  const Pipeline sched = Pipeline::algorithm1(cost_, opts);
+  const LayeredSchedule s = sched.run(g, 8).layered;
   std::vector<double> acc(2, 0.0);
   for (std::size_t i = 0; i < s.layers[0].tasks.size(); ++i) {
     acc[static_cast<std::size_t>(s.layers[0].task_group[i])] +=
@@ -165,8 +165,8 @@ TEST_F(LayerSchedulerTest, EpolScheduleMatchesPaperStructure) {
   const core::TaskGraph g = spec.step_graph();
   LayerSchedulerOptions opts;
   opts.fixed_groups = 4;  // R/2
-  const LayerScheduler sched(cost_, opts);
-  const LayeredSchedule s = sched.schedule(g, 64);
+  const Pipeline sched = Pipeline::algorithm1(cost_, opts);
+  const LayeredSchedule s = sched.run(g, 64).layered;
   ASSERT_EQ(s.layers.size(), 2u);
   EXPECT_EQ(s.layers[0].num_groups(), 4);  // R/2 = 4
   // Each group computes R+1 = 9 micro steps.
@@ -195,13 +195,15 @@ TEST_F(LayerSchedulerTest, EpolFreeSearchPicksTaskParallelism) {
   spec.n = 1 << 16;
   spec.stages = 8;
   const core::TaskGraph g = spec.step_graph();
-  const LayeredSchedule free_search = LayerScheduler(cost_).schedule(g, 64);
+  const LayeredSchedule free_search =
+      Pipeline::algorithm1(cost_).run(g, 64).layered;
   EXPECT_GT(free_search.layers[0].num_groups(), 1);
   EXPECT_LE(free_search.layers[0].num_groups(), 8);
 
   LayerSchedulerOptions half;
   half.fixed_groups = 4;
-  const LayeredSchedule r_half = LayerScheduler(cost_, half).schedule(g, 64);
+  const LayeredSchedule r_half =
+      Pipeline::algorithm1(cost_, half).run(g, 64).layered;
   EXPECT_LE(free_search.predicted_makespan,
             r_half.predicted_makespan * 1.0001);
 }
@@ -216,8 +218,8 @@ TEST_F(LayerSchedulerTest, StageSolversUseKGroups) {
     spec.stages = 4;
     spec.iterations = 3;
     const core::TaskGraph g = spec.step_graph();
-    const LayerScheduler sched(cost_);
-    const LayeredSchedule s = sched.schedule(g, 64);
+    const Pipeline sched = Pipeline::algorithm1(cost_);
+    const LayeredSchedule s = sched.run(g, 64).layered;
     EXPECT_EQ(s.layers[0].num_groups(), 4) << to_string(method);
     EXPECT_TRUE(validate(s, g).ok()) << to_string(method);
   }
@@ -227,8 +229,8 @@ TEST_F(LayerSchedulerTest, FixedGroupsIsClamped) {
   core::TaskGraph g = independent_tasks({1e9, 1e9});
   LayerSchedulerOptions opts;
   opts.fixed_groups = 16;  // only 2 tasks
-  const LayerScheduler sched(cost_, opts);
-  const LayeredSchedule s = sched.schedule(g, 8);
+  const Pipeline sched = Pipeline::algorithm1(cost_, opts);
+  const LayeredSchedule s = sched.run(g, 8).layered;
   EXPECT_EQ(s.layers[0].num_groups(), 2);
 }
 
@@ -238,8 +240,8 @@ TEST_F(LayerSchedulerTest, PredictedMakespanAccumulatesLayers) {
   spec.n = 1 << 14;
   spec.stages = 4;
   spec.iterations = 2;
-  const LayerScheduler sched(cost_);
-  const LayeredSchedule s = sched.schedule(spec.step_graph(), 16);
+  const Pipeline sched = Pipeline::algorithm1(cost_);
+  const LayeredSchedule s = sched.run(spec.step_graph(), 16).layered;
   double sum = 0.0;
   for (const ScheduledLayer& l : s.layers) sum += l.predicted_time;
   EXPECT_DOUBLE_EQ(s.predicted_makespan, sum);
@@ -248,8 +250,8 @@ TEST_F(LayerSchedulerTest, PredictedMakespanAccumulatesLayers) {
 
 TEST_F(LayerSchedulerTest, RejectsNonPositiveCores) {
   core::TaskGraph g = independent_tasks({1.0});
-  const LayerScheduler sched(cost_);
-  EXPECT_THROW(sched.schedule(g, 0), std::invalid_argument);
+  const Pipeline sched = Pipeline::algorithm1(cost_);
+  EXPECT_THROW(sched.run(g, 0).layered, std::invalid_argument);
 }
 
 // Property sweep: validity for all (method, core count) combinations.
@@ -268,8 +270,8 @@ TEST_P(ScheduleValidityTest, ScheduleIsValidAndGantt) {
 
   const arch::Machine m = machine(256);
   const cost::CostModel cost(m);
-  const LayerScheduler sched(cost);
-  const LayeredSchedule s = sched.schedule(g, cores);
+  const Pipeline sched = Pipeline::algorithm1(cost);
+  const LayeredSchedule s = sched.run(g, cores).layered;
   const ValidationReport report = validate(s, g);
   EXPECT_TRUE(report.ok()) << report.errors.front();
 
@@ -367,8 +369,8 @@ TEST(Describe, RendersGroupsAndTasks) {
   g.add_task(core::MTask("alpha", 1.0));
   const arch::Machine m = machine(4);
   const cost::CostModel cost(m);
-  const LayerScheduler sched(cost);
-  const LayeredSchedule s = sched.schedule(g, 4);
+  const Pipeline sched = Pipeline::algorithm1(cost);
+  const LayeredSchedule s = sched.run(g, 4).layered;
   const std::string text = describe(s);
   EXPECT_NE(text.find("alpha"), std::string::npos);
   EXPECT_NE(text.find("layer 0"), std::string::npos);

@@ -11,7 +11,7 @@
 #include "ptask/ode/schroed.hpp"
 #include "ptask/ode/spmd_solvers.hpp"
 #include "ptask/rt/executor.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/validation.hpp"
 
 namespace ptask::ode {
@@ -29,7 +29,7 @@ sched::LayeredSchedule make_schedule(const core::TaskGraph& g, int cores,
   sched::LayerSchedulerOptions opts;
   opts.fixed_groups = fixed_groups;
   const sched::LayeredSchedule s =
-      sched::LayerScheduler(cm, opts).schedule(g, cores);
+      sched::Pipeline::algorithm1(cm, opts).run(g, cores).layered;
   EXPECT_TRUE(sched::validate(s, g).ok());
   return s;
 }
@@ -103,7 +103,7 @@ TEST(SpmdIrkTest, FourStagesOnUnevenGroups) {
   opts.fixed_groups = stages;
   opts.adjust_group_sizes = false;
   const sched::LayeredSchedule schedule =
-      sched::LayerScheduler(cm, opts).schedule(g, 10);
+      sched::Pipeline::algorithm1(cm, opts).run(g, 10).layered;
   std::vector<rt::TaskFn> fns = program.build_functions(g);
   rt::Executor exec(10);
   exec.run(schedule, fns);

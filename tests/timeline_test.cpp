@@ -5,7 +5,7 @@
 
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/data_parallel.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/timeline.hpp"
 
 namespace ptask::sched {
@@ -26,7 +26,7 @@ Mapped schedule_and_map(const core::TaskGraph& g, const arch::Machine& m,
                         const cost::CostModel& cm, int cores,
                         map::Strategy strategy) {
   Mapped mapped;
-  mapped.schedule = LayerScheduler(cm).schedule(g, cores);
+  mapped.schedule = Pipeline::algorithm1(cm).run(g, cores).layered;
   mapped.layouts = map::map_schedule(mapped.schedule, m, strategy);
   return mapped;
 }

@@ -10,7 +10,7 @@
 
 #include "ptask/arch/machine.hpp"
 #include "ptask/cost/cost_model.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/validation.hpp"
 
 namespace ptask::sched {
@@ -232,7 +232,7 @@ TEST(FixedGroupsClamping, MoreGroupsThanLayerTasksProducesValidSchedule) {
   const cost::CostModel cm(machine());
   LayerSchedulerOptions opts;
   opts.fixed_groups = 64;  // layer only has 3 tasks
-  const LayeredSchedule s = LayerScheduler(cm, opts).schedule(g, 8);
+  const LayeredSchedule s = Pipeline::algorithm1(cm, opts).run(g, 8).layered;
   const ValidationReport r = validate(s, g);
   EXPECT_TRUE(r.ok()) << all_errors(r);
   ASSERT_EQ(s.layers.size(), 1u);
@@ -246,7 +246,7 @@ TEST(FixedGroupsClamping, MoreGroupsThanCoresProducesValidSchedule) {
   const cost::CostModel cm(machine());
   LayerSchedulerOptions opts;
   opts.fixed_groups = 16;  // only 4 cores available
-  const LayeredSchedule s = LayerScheduler(cm, opts).schedule(g, 4);
+  const LayeredSchedule s = Pipeline::algorithm1(cm, opts).run(g, 4).layered;
   const ValidationReport r = validate(s, g);
   EXPECT_TRUE(r.ok()) << all_errors(r);
   ASSERT_EQ(s.layers.size(), 1u);
@@ -264,7 +264,7 @@ TEST(FixedGroupsClamping, SingleTaskLayerDegradesToOneGroup) {
   LayerSchedulerOptions opts;
   opts.fixed_groups = 8;
   opts.contract_chains = false;
-  const LayeredSchedule s = LayerScheduler(cm, opts).schedule(g, 8);
+  const LayeredSchedule s = Pipeline::algorithm1(cm, opts).run(g, 8).layered;
   const ValidationReport r = validate(s, g);
   EXPECT_TRUE(r.ok()) << all_errors(r);
   for (const ScheduledLayer& l : s.layers) {

@@ -6,7 +6,7 @@
 
 #include "ptask/net/collectives.hpp"
 #include "ptask/ode/graph_gen.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
+#include "ptask/sched/pipeline.hpp"
 #include "ptask/viz/gantt.hpp"
 
 namespace ptask::viz {
@@ -29,7 +29,8 @@ struct GanttFixture {
     spec.stages = 4;
     graph = spec.step_graph();
     const cost::CostModel cm(machine());
-    const sched::LayeredSchedule s = sched::LayerScheduler(cm).schedule(graph, 8);
+    const sched::LayeredSchedule s =
+        sched::Pipeline::algorithm1(cm).run(graph, 8).layered;
     graph = s.contraction.contracted;  // render the contracted view
     gantt = sched::to_gantt(s, [&](core::TaskId id, int q, int g) {
       return cm.symbolic_task_time(graph.task(id), q, g, 8);

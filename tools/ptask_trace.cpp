@@ -33,7 +33,6 @@
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/ode/spmd_solvers.hpp"
 #include "ptask/rt/executor.hpp"
-#include "ptask/sched/layer_scheduler.hpp"
 #include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/registry.hpp"
 #include "ptask/sched/timeline.hpp"
