@@ -356,6 +356,20 @@ void BM_RedistributionPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_RedistributionPlan)->Arg(1 << 12)->Arg(1 << 16);
 
+/// Block -> block: the plan walks runs that end at block edges, so its cost
+/// follows the number of runs (at most q1 + q2), not the element count.
+void BM_RedistributionPlanBlock(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist::RedistributionPlan::compute(
+        n, 8, dist::Distribution::block(), 16, dist::Distribution::block(),
+        32, false));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_RedistributionPlanBlock)->Arg(1 << 12)->Arg(1 << 16);
+
 void BM_CollectiveScheduleGeneration(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   for (auto _ : state) {

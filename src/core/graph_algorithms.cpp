@@ -125,25 +125,42 @@ std::vector<std::vector<TaskId>> greedy_layers(const TaskGraph& graph) {
   return layers;
 }
 
-CriticalPathInfo critical_path(const TaskGraph& graph,
-                               std::span<const double> task_time) {
+double walk_critical_path(const TaskGraph& graph,
+                          std::span<const double> bottom_level,
+                          std::vector<TaskId>& path) {
+  path.clear();
+  double length = 0.0;
+  TaskId cur = kInvalidTask;
+  for (TaskId id = 0; id < graph.num_tasks(); ++id) {
+    const double len = bottom_level[static_cast<std::size_t>(id)];
+    if (graph.in_degree(id) == 0 && len > length) {
+      length = len;
+      cur = id;
+    }
+  }
+  while (cur != kInvalidTask) {
+    path.push_back(cur);
+    TaskId next = kInvalidTask;
+    double best = -1.0;
+    for (TaskId s : graph.successors(cur)) {
+      const double len = bottom_level[static_cast<std::size_t>(s)];
+      if (len > best) {
+        best = len;
+        next = s;
+      }
+    }
+    cur = next;
+  }
+  return length;
+}
+
+void critical_path(const TaskGraph& graph, std::span<const TaskId> order,
+                   std::span<const double> task_time, CriticalPathInfo& info) {
   const int n = graph.num_tasks();
   if (static_cast<int>(task_time.size()) != n) {
     throw std::invalid_argument("one task time per task required");
   }
-  CriticalPathInfo info;
-  info.top_level.assign(static_cast<std::size_t>(n), 0.0);
-  info.bottom_level.assign(static_cast<std::size_t>(n), 0.0);
-
-  const std::vector<TaskId> order = graph.topological_order();
-  for (TaskId id : order) {
-    double top = 0.0;
-    for (TaskId p : graph.predecessors(id)) {
-      top = std::max(top, info.top_level[static_cast<std::size_t>(p)] +
-                              task_time[static_cast<std::size_t>(p)]);
-    }
-    info.top_level[static_cast<std::size_t>(id)] = top;
-  }
+  info.bottom_level.resize(static_cast<std::size_t>(n));
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId id = *it;
     double below = 0.0;
@@ -153,27 +170,22 @@ CriticalPathInfo critical_path(const TaskGraph& graph,
     info.bottom_level[static_cast<std::size_t>(id)] =
         below + task_time[static_cast<std::size_t>(id)];
   }
+  info.length = walk_critical_path(graph, info.bottom_level, info.path);
+}
 
-  TaskId cur = kInvalidTask;
-  for (TaskId id = 0; id < n; ++id) {
-    const double len = info.bottom_level[static_cast<std::size_t>(id)];
-    if (graph.in_degree(id) == 0 && len > info.length) {
-      info.length = len;
-      cur = id;
+CriticalPathInfo critical_path(const TaskGraph& graph,
+                               std::span<const double> task_time) {
+  const std::vector<TaskId> order = graph.topological_order();
+  CriticalPathInfo info;
+  critical_path(graph, order, task_time, info);
+  info.top_level.assign(order.size(), 0.0);
+  for (TaskId id : order) {
+    double top = 0.0;
+    for (TaskId p : graph.predecessors(id)) {
+      top = std::max(top, info.top_level[static_cast<std::size_t>(p)] +
+                              task_time[static_cast<std::size_t>(p)]);
     }
-  }
-  while (cur != kInvalidTask) {
-    info.path.push_back(cur);
-    TaskId next = kInvalidTask;
-    double best = -1.0;
-    for (TaskId s : graph.successors(cur)) {
-      const double len = info.bottom_level[static_cast<std::size_t>(s)];
-      if (len > best) {
-        best = len;
-        next = s;
-      }
-    }
-    cur = next;
+    info.top_level[static_cast<std::size_t>(id)] = top;
   }
   return info;
 }

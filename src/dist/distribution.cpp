@@ -1,5 +1,6 @@
 #include "ptask/dist/distribution.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,6 +48,27 @@ std::size_t Distribution::owner(std::size_t i, std::size_t n,
       return i % q;
     case Kind::BlockCyclic:
       return (i / block_) % q;
+  }
+  throw std::logic_error("invalid distribution kind");
+}
+
+std::size_t Distribution::run_end(std::size_t i, std::size_t n,
+                                  std::size_t q) const {
+  if (q == 0) throw std::invalid_argument("group size must be positive");
+  if (i >= n) throw std::out_of_range("element index out of range");
+  switch (kind_) {
+    case Kind::Replicated:
+      return n;
+    case Kind::Block: {
+      const std::size_t base = n / q;
+      const std::size_t big = (base + 1) * (n % q);
+      if (i < big) return (i / (base + 1) + 1) * (base + 1);
+      return big + ((i - big) / base + 1) * base;
+    }
+    case Kind::Cyclic:
+      return i + 1;
+    case Kind::BlockCyclic:
+      return std::min(n, (i / block_ + 1) * block_);
   }
   throw std::logic_error("invalid distribution kind");
 }

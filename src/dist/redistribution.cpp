@@ -1,5 +1,6 @@
 #include "ptask/dist/redistribution.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ptask::dist {
@@ -21,22 +22,31 @@ RedistributionPlan RedistributionPlan::compute(
   // Identical distribution over the same physical group: nothing to move.
   if (same_groups && src == dst) return plan;
 
-  // Pairwise element counts; q1 x q2 is small (groups are <= a few thousand
-  // cores) while n may be millions, so the O(n) ownership scan dominates.
+  // Pairwise element counts, added per run of elements on which both owners
+  // stay the same: a run ends at the nearer block edge of the two sides.
   std::vector<std::size_t> counts(q1 * q2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = src.owner(i, n, q1);
+  std::size_t from = 0, from_end = 0, to = 0, to_end = 0;
+  for (std::size_t i = 0; i < n;) {
+    if (i == from_end) {
+      from = src.owner(i, n, q1);
+      from_end = src.run_end(i, n, q1);
+    }
+    if (i == to_end) {
+      to = dst.owner(i, n, q2);
+      to_end = dst.run_end(i, n, q2);
+    }
+    const std::size_t run = std::min(from_end, to_end) - i;
+    i += run;
     if (dst.is_replicated()) {
-      // Every destination rank needs the element.
+      // Every destination rank needs the elements.
       for (std::size_t d = 0; d < q2; ++d) {
-        if (same_groups && d == s) continue;  // already resident
-        counts[s * q2 + d] += 1;
+        if (same_groups && d == from) continue;  // already resident
+        counts[from * q2 + d] += run;
       }
     } else {
-      const std::size_t d = dst.owner(i, n, q2);
-      if (same_groups && d == s) continue;
+      if (same_groups && to == from) continue;
       if (src.is_replicated() && same_groups) continue;  // resident everywhere
-      counts[s * q2 + d] += 1;
+      counts[from * q2 + to] += run;
     }
   }
 

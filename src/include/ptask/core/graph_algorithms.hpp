@@ -51,8 +51,21 @@ struct CriticalPathInfo {
   std::vector<TaskId> path;          ///< one critical path, in order
 };
 
+/// All of CriticalPathInfo, over a topological order built for this call.
 CriticalPathInfo critical_path(const TaskGraph& graph,
                                std::span<const double> task_time);
+
+/// Bottom levels, length and path (no top levels) over a caller-built
+/// topological `order`, reusing the buffers of `info`.
+void critical_path(const TaskGraph& graph, std::span<const TaskId> order,
+                   std::span<const double> task_time, CriticalPathInfo& info);
+
+/// Walks one critical path over `bottom_level` into `path` (the source with
+/// the largest bottom level, then the largest successor each step; the
+/// first wins a tie) and returns its length.
+double walk_critical_path(const TaskGraph& graph,
+                          std::span<const double> bottom_level,
+                          std::vector<TaskId>& path);
 
 /// Concatenates `repetitions` copies of a per-step graph into one program
 /// graph: every (non-marker) sink of copy r feeds every (non-marker) source

@@ -47,6 +47,10 @@ class Distribution {
   /// re-distributing away from a replicated layout).
   std::size_t owner(std::size_t i, std::size_t n, std::size_t q) const;
 
+  /// End (exclusive) of the run from `i` on that shares owner(i): a block
+  /// edge for Block and BlockCyclic, i + 1 for Cyclic, n for Replicated.
+  std::size_t run_end(std::size_t i, std::size_t n, std::size_t q) const;
+
   /// Number of elements stored by `rank` for an n-element vector over q
   /// cores.  For Replicated this is n for every rank.
   std::size_t local_count(std::size_t rank, std::size_t n,

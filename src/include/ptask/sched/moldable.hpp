@@ -38,19 +38,26 @@ struct MoldableResult {
   GanttSchedule schedule;
 };
 
-/// Precomputed execution times T(t, p) for p in [1, P].
+/// Precomputed execution times T(t, p) for p in [1, P], one flat n x P table.
 class TaskTimeTable {
  public:
   TaskTimeTable(const core::TaskGraph& graph, const cost::CostModel& cost,
                 int total_cores,
                 MoldableCostMode mode = MoldableCostMode::CommAware);
 
+  /// Throws std::out_of_range for a bad task id or core count.
   double time(core::TaskId id, int p) const;
   int total_cores() const { return total_cores_; }
 
+  /// Unchecked row of task `id`: row(id)[p - 1] is T(id, p).
+  const double* row(core::TaskId id) const {
+    return times_.data() + static_cast<std::size_t>(id) * total_cores_;
+  }
+
  private:
   int total_cores_;
-  std::vector<std::vector<double>> times_;  // [task][p-1]
+  int num_tasks_;
+  std::vector<double> times_;  // [task * P + p - 1]
 };
 
 /// Bottom-level list scheduling of one graph under one T(t, p) table,
@@ -66,11 +73,11 @@ class TaskTimeTable {
 /// The free cores are kept as blocks of equal free time in ascending order;
 /// each block is a core bitset with a core count and the range of words
 /// that can hold set bits, so a placement costs O(blocks + words touched)
-/// instead of O(P).  The topological order and every scratch buffer are
-/// kept between calls.
+/// instead of O(P).  The topological order, CSR successor and predecessor
+/// arrays and every scratch buffer are kept between calls.
 class ListScheduler {
  public:
-  /// `graph` and `table` must outlive the workspace.  Throws
+  /// `table` must outlive the workspace.  Throws
   /// std::logic_error when the graph has a cycle.
   ListScheduler(const core::TaskGraph& graph, const TaskTimeTable& table);
 
@@ -78,11 +85,19 @@ class ListScheduler {
   /// makespan only grows as tasks are placed, so once it exceeds
   /// `abort_above` the rest is skipped and that partial makespan returned:
   /// it already exceeds the cutoff, which is all a reject decision needs.
+  /// Throws std::out_of_range when an entry is not in [1, P].
   double makespan(std::span<const int> allocation,
                   double abort_above = std::numeric_limits<double>::infinity());
 
   /// The full Gantt view of list-scheduling `allocation`.
   GanttSchedule schedule(std::span<const int> allocation);
+
+  /// Bottom levels of the last makespan() call's allocation, as
+  /// core::critical_path computes them (complete even if that call aborted).
+  std::span<const double> bottom_levels() const { return bottom_; }
+
+  /// The topological order the workspace schedules in.
+  const std::vector<core::TaskId>& order() const { return order_; }
 
  private:
   struct Block {
@@ -101,11 +116,14 @@ class ListScheduler {
   int take_slot();
   void place(core::TaskId id, int p, double start, double finish);
 
-  const core::TaskGraph* graph_;
   const TaskTimeTable* table_;
   int P_;
   std::size_t words_;
   std::vector<core::TaskId> order_;  // topological order
+  // CSR adjacency: the successors of task i are succ_ids_[succ_off_[i] ..
+  // succ_off_[i + 1]), in TaskGraph::successors order; likewise pred_ids_.
+  std::vector<int> succ_off_{0}, pred_off_{0};
+  std::vector<core::TaskId> succ_ids_, pred_ids_;
 
   // Per-call task state.
   std::vector<double> task_time_, bottom_, ready_time_, start_, finish_;

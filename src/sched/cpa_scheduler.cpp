@@ -15,6 +15,9 @@ MoldableResult cpa_allocate_and_schedule(const core::TaskGraph& graph, int P,
   const int n = graph.num_tasks();
   MoldableResult result;
   result.allocation.assign(static_cast<std::size_t>(n), 1);
+  // One topological order and set of buffers for all steps and the schedule.
+  ListScheduler list(graph, table);
+  core::CriticalPathInfo cp;
 
   std::vector<double> task_time(static_cast<std::size_t>(n));
   auto refresh_times = [&] {
@@ -34,7 +37,7 @@ MoldableResult cpa_allocate_and_schedule(const core::TaskGraph& graph, int P,
 
   refresh_times();
   while (true) {
-    const core::CriticalPathInfo cp = core::critical_path(graph, task_time);
+    core::critical_path(graph, list.order(), task_time, cp);
     if (cp.length <= average_area()) break;
 
     core::TaskId best = core::kInvalidTask;
@@ -61,7 +64,7 @@ MoldableResult cpa_allocate_and_schedule(const core::TaskGraph& graph, int P,
         table.time(best, result.allocation[static_cast<std::size_t>(best)]);
   }
 
-  result.schedule = list_schedule(graph, result.allocation, table);
+  result.schedule = list.schedule(result.allocation);
   return result;
 }
 

@@ -32,26 +32,24 @@ MoldableResult CprScheduler::schedule(const core::TaskGraph& graph,
     return total;
   };
 
-  std::vector<double> task_time(static_cast<std::size_t>(n));
+  std::vector<core::TaskId> candidates;
   constexpr double kEps = 1e-15;
   std::uint64_t trials = 0;
   std::uint64_t accepted = 0;
   bool improved = true;
   while (improved) {
     improved = false;
-    for (core::TaskId id = 0; id < n; ++id) {
-      task_time[static_cast<std::size_t>(id)] =
-          table.time(id, result.allocation[static_cast<std::size_t>(id)]);
-    }
-    const core::CriticalPathInfo cp = core::critical_path(graph, task_time);
+    // The last makespan() call priced the current allocation (the first
+    // call or the accepted trial), so the workspace holds its bottom levels.
+    const std::span<const double> bottom = list.bottom_levels();
+    core::walk_critical_path(graph, bottom, candidates);
     const double sum_before = total_task_time();
 
     // Try the critical-path tasks in decreasing bottom-level order.
-    std::vector<core::TaskId> candidates = cp.path;
     std::sort(candidates.begin(), candidates.end(),
               [&](core::TaskId a, core::TaskId b) {
-                return cp.bottom_level[static_cast<std::size_t>(a)] >
-                       cp.bottom_level[static_cast<std::size_t>(b)];
+                return bottom[static_cast<std::size_t>(a)] >
+                       bottom[static_cast<std::size_t>(b)];
               });
     for (core::TaskId id : candidates) {
       const int p = result.allocation[static_cast<std::size_t>(id)];

@@ -5,18 +5,17 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "ptask/core/graph_algorithms.hpp"
-
 namespace ptask::sched {
 
 TaskTimeTable::TaskTimeTable(const core::TaskGraph& graph,
                              const cost::CostModel& cost, int total_cores,
                              MoldableCostMode mode)
-    : total_cores_(total_cores) {
+    : total_cores_(total_cores), num_tasks_(graph.num_tasks()) {
   if (total_cores <= 0) {
     throw std::invalid_argument("core count must be positive");
   }
-  times_.resize(static_cast<std::size_t>(graph.num_tasks()));
+  times_.reserve(static_cast<std::size_t>(graph.num_tasks()) *
+                 static_cast<std::size_t>(total_cores));
   for (core::TaskId id = 0; id < graph.num_tasks(); ++id) {
     // Orthogonal collectives are inter-task exchanges and never part of
     // T(t, p); price the task without them.
@@ -27,18 +26,16 @@ TaskTimeTable::TaskTimeTable(const core::TaskGraph& graph,
         if (op.scope != core::CommScope::Orthogonal) task.add_comm(op);
       }
     }
-    std::vector<double>& row = times_[static_cast<std::size_t>(id)];
-    row.resize(static_cast<std::size_t>(total_cores));
     for (int p = 1; p <= total_cores; ++p) {
-      row[static_cast<std::size_t>(p - 1)] =
-          cost.symbolic_task_time(task, p, 1, total_cores);
+      times_.push_back(cost.symbolic_task_time(task, p, 1, total_cores));
     }
   }
 }
 
 double TaskTimeTable::time(core::TaskId id, int p) const {
   if (p < 1 || p > total_cores_) throw std::out_of_range("bad core count");
-  return times_.at(static_cast<std::size_t>(id))[static_cast<std::size_t>(p - 1)];
+  if (id < 0 || id >= num_tasks_) throw std::out_of_range("bad task id");
+  return row(id)[p - 1];
 }
 
 namespace {
@@ -60,12 +57,19 @@ std::uint64_t lowest_bits(std::uint64_t m, int n) {
 
 ListScheduler::ListScheduler(const core::TaskGraph& graph,
                              const TaskTimeTable& table)
-    : graph_(&graph),
-      table_(&table),
+    : table_(&table),
       P_(table.total_cores()),
       words_(static_cast<std::size_t>((P_ + kWordBits - 1) / kWordBits)),
       order_(graph.topological_order()) {
   const std::size_t n = static_cast<std::size_t>(graph.num_tasks());
+  for (core::TaskId id = 0; id < graph.num_tasks(); ++id) {
+    const std::vector<core::TaskId>& succ = graph.successors(id);
+    const std::vector<core::TaskId>& pred = graph.predecessors(id);
+    succ_ids_.insert(succ_ids_.end(), succ.begin(), succ.end());
+    pred_ids_.insert(pred_ids_.end(), pred.begin(), pred.end());
+    succ_off_.push_back(static_cast<int>(succ_ids_.size()));
+    pred_off_.push_back(static_cast<int>(pred_ids_.size()));
+  }
   task_time_.resize(n);
   bottom_.resize(n);
   ready_time_.resize(n);
@@ -93,8 +97,8 @@ GanttSchedule ListScheduler::schedule(std::span<const int> allocation) {
   GanttSchedule gantt;
   gantt.total_cores = P_;
   gantt.makespan = makespan(allocation);
-  gantt.slots.resize(static_cast<std::size_t>(graph_->num_tasks()));
-  for (core::TaskId id = 0; id < graph_->num_tasks(); ++id) {
+  gantt.slots.resize(order_.size());
+  for (core::TaskId id = 0; id < static_cast<int>(order_.size()); ++id) {
     const std::size_t i = static_cast<std::size_t>(id);
     TaskSlot& slot = gantt.slots[i];
     slot.cores.reserve(static_cast<std::size_t>(allocation[i]));
@@ -112,29 +116,30 @@ GanttSchedule ListScheduler::schedule(std::span<const int> allocation) {
 
 double ListScheduler::makespan(std::span<const int> allocation,
                                double abort_above) {
-  const core::TaskGraph& graph = *graph_;
-  const int n = graph.num_tasks();
+  const int n = static_cast<int>(order_.size());
   if (static_cast<int>(allocation.size()) != n) {
     throw std::invalid_argument("one allocation entry per task required");
   }
   for (core::TaskId id = 0; id < n; ++id) {
-    task_time_[static_cast<std::size_t>(id)] =
-        table_->time(id, allocation[static_cast<std::size_t>(id)]);
+    const int p = allocation[static_cast<std::size_t>(id)];
+    if (p < 1 || p > P_) throw std::out_of_range("bad core count");
+    task_time_[static_cast<std::size_t>(id)] = table_->row(id)[p - 1];
   }
   // Bottom levels, as core::critical_path computes them.
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    const std::size_t i = static_cast<std::size_t>(*it);
     double below = 0.0;
-    for (core::TaskId s : graph.successors(*it)) {
-      below = std::max(below, bottom_[static_cast<std::size_t>(s)]);
+    for (int e = succ_off_[i]; e < succ_off_[i + 1]; ++e) {
+      below = std::max(below, bottom_[static_cast<std::size_t>(succ_ids_[e])]);
     }
-    bottom_[static_cast<std::size_t>(*it)] =
-        below + task_time_[static_cast<std::size_t>(*it)];
+    bottom_[i] = below + task_time_[i];
   }
   ready_.clear();
   for (core::TaskId id = 0; id < n; ++id) {
-    remaining_preds_[static_cast<std::size_t>(id)] = graph.in_degree(id);
-    ready_time_[static_cast<std::size_t>(id)] = 0.0;
-    if (graph.in_degree(id) == 0) ready_.push_back(id);
+    const std::size_t i = static_cast<std::size_t>(id);
+    remaining_preds_[i] = pred_off_[i + 1] - pred_off_[i];
+    ready_time_[i] = 0.0;
+    if (remaining_preds_[i] == 0) ready_.push_back(id);
   }
 
   // Every core free at time 0: one full block.
@@ -180,7 +185,8 @@ double ListScheduler::makespan(std::span<const int> allocation,
     makespan = std::max(makespan, finish_[i]);
     if (makespan > abort_above) return makespan;
 
-    for (core::TaskId s : graph.successors(id)) {
+    for (int e = succ_off_[i]; e < succ_off_[i + 1]; ++e) {
+      const core::TaskId s = succ_ids_[e];
       ready_time_[static_cast<std::size_t>(s)] =
           std::max(ready_time_[static_cast<std::size_t>(s)], finish_[i]);
       if (--remaining_preds_[static_cast<std::size_t>(s)] == 0) {
@@ -197,7 +203,8 @@ void ListScheduler::place(core::TaskId id, int p, double start,
   // Predecessor cores, and the words that can hold them.
   int pred_lo = static_cast<int>(words_);
   int pred_hi = 0;
-  for (core::TaskId pr : graph_->predecessors(id)) {
+  for (int e = pred_off_[i]; e < pred_off_[i + 1]; ++e) {
+    const core::TaskId pr = pred_ids_[e];
     const std::size_t j = static_cast<std::size_t>(pr);
     const std::uint64_t* bits = task_bits(pr);
     for (int w = task_lo_[j]; w < task_hi_[j]; ++w) pred_[w] |= bits[w];

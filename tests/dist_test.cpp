@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "ptask/dist/distribution.hpp"
 #include "ptask/dist/redistribution.hpp"
@@ -170,6 +173,140 @@ TEST(RedistributionPlan, Validation) {
   EXPECT_TRUE(RedistributionPlan::compute(0, 8, Distribution::block(), 2,
                                           Distribution::block(), 3, false)
                   .empty());
+}
+
+// ---------------------------------------------------------------------------
+// The element-scan RedistributionPlan::compute that the run walk replaced,
+// transplanted verbatim (only its result type is local to the test).
+// ---------------------------------------------------------------------------
+
+struct ReferencePlan {
+  std::vector<Transfer> transfers;
+  std::size_t total_bytes = 0;
+  std::size_t max_pair_bytes = 0;
+};
+
+ReferencePlan reference_compute(std::size_t n, std::size_t elem_size,
+                                const Distribution& src, std::size_t q1,
+                                const Distribution& dst, std::size_t q2,
+                                bool same_groups) {
+  ReferencePlan plan;
+  if (n == 0) return plan;
+
+  // Identical distribution over the same physical group: nothing to move.
+  if (same_groups && src == dst) return plan;
+
+  std::vector<std::size_t> counts(q1 * q2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t s = src.owner(i, n, q1);
+    if (dst.is_replicated()) {
+      // Every destination rank needs the element.
+      for (std::size_t d = 0; d < q2; ++d) {
+        if (same_groups && d == s) continue;  // already resident
+        counts[s * q2 + d] += 1;
+      }
+    } else {
+      const std::size_t d = dst.owner(i, n, q2);
+      if (same_groups && d == s) continue;
+      if (src.is_replicated() && same_groups) continue;  // resident everywhere
+      counts[s * q2 + d] += 1;
+    }
+  }
+
+  for (std::size_t s = 0; s < q1; ++s) {
+    for (std::size_t d = 0; d < q2; ++d) {
+      const std::size_t c = counts[s * q2 + d];
+      if (c == 0) continue;
+      const std::size_t bytes = c * elem_size;
+      plan.transfers.push_back({s, d, bytes});
+      plan.total_bytes += bytes;
+      plan.max_pair_bytes = std::max(plan.max_pair_bytes, bytes);
+    }
+  }
+  return plan;
+}
+
+TEST(RedistributionPlanReference, RunWalkMatchesElementScan) {
+  const std::vector<std::size_t> group_sizes{1, 3, 64};
+  int cases = 0;
+  int short_block_cases = 0;  // Block over more ranks than elements
+  for (const std::size_t q1 : group_sizes) {
+    for (const std::size_t q2 : group_sizes) {
+      std::vector<std::size_t> sizes{1, 4099};
+      for (const std::size_t q : {q1, q2}) {
+        sizes.insert(sizes.end(), {q - 1, q, q + 1});
+      }
+      std::sort(sizes.begin(), sizes.end());
+      sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+      for (const std::size_t n : sizes) {
+        const std::vector<Distribution> kinds{
+            Distribution::replicated(),     Distribution::block(),
+            Distribution::cyclic(),         Distribution::block_cyclic(1),
+            Distribution::block_cyclic(3),  Distribution::block_cyclic(n + 1)};
+        for (const Distribution& src : kinds) {
+          for (const Distribution& dst : kinds) {
+            for (const bool same : {false, true}) {
+              if (same && q1 != q2) continue;
+              const std::string label =
+                  src.to_string() + "/" + std::to_string(q1) + " -> " +
+                  dst.to_string() + "/" + std::to_string(q2) +
+                  " n=" + std::to_string(n) + (same ? " same" : "");
+              const ReferencePlan want =
+                  reference_compute(n, 8, src, q1, dst, q2, same);
+              const RedistributionPlan got =
+                  RedistributionPlan::compute(n, 8, src, q1, dst, q2, same);
+              ASSERT_EQ(want.transfers.size(), got.transfers().size()) << label;
+              for (std::size_t t = 0; t < want.transfers.size(); ++t) {
+                ASSERT_EQ(want.transfers[t].src_rank,
+                          got.transfers()[t].src_rank) << label;
+                ASSERT_EQ(want.transfers[t].dst_rank,
+                          got.transfers()[t].dst_rank) << label;
+                ASSERT_EQ(want.transfers[t].bytes, got.transfers()[t].bytes)
+                    << label;
+              }
+              ASSERT_EQ(want.total_bytes, got.total_bytes()) << label;
+              ASSERT_EQ(want.max_pair_bytes, got.max_pair_bytes()) << label;
+              ++cases;
+              if ((src.kind() == Kind::Block && n < q1) ||
+                  (dst.kind() == Kind::Block && n < q2)) {
+                ++short_block_cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2520);
+  EXPECT_GT(short_block_cases, 0);
+}
+
+TEST(Distribution, RunEndStaysWithinOneOwner) {
+  for (const Distribution& d :
+       {Distribution::replicated(), Distribution::block(),
+        Distribution::cyclic(), Distribution::block_cyclic(3)}) {
+    for (const std::size_t q : {1u, 3u, 8u}) {
+      for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 100u}) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t end = d.run_end(i, n, q);
+          ASSERT_GT(end, i);
+          ASSERT_LE(end, n);
+          for (std::size_t j = i; j < end; ++j) {
+            ASSERT_EQ(d.owner(j, n, q), d.owner(i, n, q))
+                << d.to_string() << " n=" << n << " q=" << q << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Distribution::replicated().run_end(0, 10, 4), 10u);
+  EXPECT_EQ(Distribution::block().run_end(0, 10, 3), 4u);
+  EXPECT_EQ(Distribution::block().run_end(4, 10, 3), 7u);
+  EXPECT_EQ(Distribution::block().run_end(8, 10, 3), 10u);
+  EXPECT_EQ(Distribution::cyclic().run_end(5, 10, 3), 6u);
+  EXPECT_EQ(Distribution::block_cyclic(4).run_end(9, 10, 3), 10u);
+  EXPECT_THROW(Distribution::block().run_end(5, 5, 2), std::out_of_range);
+  EXPECT_THROW(Distribution::block().run_end(0, 5, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Byte-identity of the list-scheduling workspace (ListScheduler,
-// list_schedule) and of CPR against verbatim copies of the implementations
-// they replaced: a flat (free time, core index) vector kept sorted per
-// placement, and a CPR loop that built a full Gantt schedule per trial.
+// list_schedule), of CPR and of CPA/MCPA against verbatim copies of the
+// implementations they replaced: a flat (free time, core index) vector kept
+// sorted per placement, a CPR loop that built a full Gantt schedule per
+// trial, and a CPA allocation loop that called the one-shot
+// core::critical_path on every step.
 // Allocations, every slot's cores/start/finish and the makespan are compared
 // with exact ==, on all five fuzz families at the instance's own core count
 // and at 64, 96 (a partial last bitset word) and 256 cores.
@@ -263,6 +265,91 @@ MoldableResult reference_cpr(const core::TaskGraph& graph,
   return result;
 }
 
+/// CPA's allocation loop.  The one change to the copy: the final schedule
+/// comes from reference_list_schedule instead of list_schedule.
+MoldableResult reference_cpa_allocate_and_schedule(
+    const core::TaskGraph& graph, int P, const TaskTimeTable& table,
+    const std::vector<int>& alloc_cap) {
+  const int n = graph.num_tasks();
+  MoldableResult result;
+  result.allocation.assign(static_cast<std::size_t>(n), 1);
+
+  std::vector<double> task_time(static_cast<std::size_t>(n));
+  auto refresh_times = [&] {
+    for (core::TaskId id = 0; id < n; ++id) {
+      task_time[static_cast<std::size_t>(id)] =
+          table.time(id, result.allocation[static_cast<std::size_t>(id)]);
+    }
+  };
+  auto average_area = [&] {
+    double area = 0.0;
+    for (core::TaskId id = 0; id < n; ++id) {
+      area += task_time[static_cast<std::size_t>(id)] *
+              result.allocation[static_cast<std::size_t>(id)];
+    }
+    return area / static_cast<double>(P);
+  };
+
+  refresh_times();
+  while (true) {
+    const core::CriticalPathInfo cp = core::critical_path(graph, task_time);
+    if (cp.length <= average_area()) break;
+
+    core::TaskId best = core::kInvalidTask;
+    double best_gain = 0.0;
+    for (core::TaskId id : cp.path) {
+      const int p = result.allocation[static_cast<std::size_t>(id)];
+      if (p >= alloc_cap[static_cast<std::size_t>(id)] ||
+          p >= graph.task(id).max_cores()) {
+        continue;
+      }
+      if (table.time(id, p + 1) >= task_time[static_cast<std::size_t>(id)]) {
+        continue;
+      }
+      const double gain = task_time[static_cast<std::size_t>(id)] / p -
+                          table.time(id, p + 1) / (p + 1);
+      if (best == core::kInvalidTask || gain > best_gain) {
+        best = id;
+        best_gain = gain;
+      }
+    }
+    if (best == core::kInvalidTask || best_gain <= 0.0) break;
+    result.allocation[static_cast<std::size_t>(best)] += 1;
+    task_time[static_cast<std::size_t>(best)] =
+        table.time(best, result.allocation[static_cast<std::size_t>(best)]);
+  }
+
+  result.schedule = reference_list_schedule(graph, result.allocation, table);
+  return result;
+}
+
+MoldableResult reference_cpa(const core::TaskGraph& graph,
+                             const cost::CostModel& cost, int total_cores,
+                             MoldableCostMode mode) {
+  const TaskTimeTable table(graph, cost, total_cores, mode);
+  const std::vector<int> cap(static_cast<std::size_t>(graph.num_tasks()),
+                             total_cores);
+  return reference_cpa_allocate_and_schedule(graph, total_cores, table, cap);
+}
+
+MoldableResult reference_mcpa(const core::TaskGraph& graph,
+                              const cost::CostModel& cost, int total_cores,
+                              MoldableCostMode mode) {
+  const TaskTimeTable table(graph, cost, total_cores, mode);
+  // Level-width bound: a task in a precedence level of width w may use at
+  // most ceil(P / w) cores, so the level as a whole fits the machine.
+  std::vector<int> cap(static_cast<std::size_t>(graph.num_tasks()), 1);
+  for (const std::vector<core::TaskId>& level : core::greedy_layers(graph)) {
+    const int width = static_cast<int>(level.size());
+    const int bound =
+        std::max(1, (total_cores + width - 1) / std::max(1, width));
+    for (core::TaskId id : level) {
+      cap[static_cast<std::size_t>(id)] = bound;
+    }
+  }
+  return reference_cpa_allocate_and_schedule(graph, total_cores, table, cap);
+}
+
 // ---------------------------------------------------------------------------
 
 void expect_identical(const GanttSchedule& want, const GanttSchedule& got,
@@ -324,6 +411,31 @@ TEST(CprReference, ReproducesReferenceOnAllFamilies) {
     }
   }
   EXPECT_EQ(cases, 5 * 4 * 4 * 2);
+}
+
+TEST(CpaReference, ReproducesReferenceOnAllFamilies) {
+  int cases = 0;
+  for (const fuzz::Instance& inst : instances_per_family(4)) {
+    const arch::Machine m(inst.machine);
+    const cost::CostModel cost(m);
+    for (const int P : {inst.total_cores, 64, 96, 256}) {
+      // The schedulers' default comm-aware pricing and the compute-only one.
+      for (const MoldableCostMode mode :
+           {MoldableCostMode::CommAware, MoldableCostMode::ComputeOnly}) {
+        const std::string label =
+            inst.name + " P=" + std::to_string(P) +
+            (mode == MoldableCostMode::ComputeOnly ? " compute-only" : "");
+        expect_identical(reference_cpa(inst.graph, cost, P, mode),
+                         CpaScheduler(cost, mode).schedule(inst.graph, P),
+                         "CPA " + label);
+        expect_identical(reference_mcpa(inst.graph, cost, P, mode),
+                         McpaScheduler(cost, mode).schedule(inst.graph, P),
+                         "MCPA " + label);
+        cases += 2;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5 * 4 * 4 * 2 * 2);
 }
 
 TEST(ListScheduleReference, ReproducesReferenceOnCpaAndMcpaAllocations) {
@@ -395,6 +507,32 @@ TEST(ListScheduler, ReusedWorkspaceMatchesFreshRuns) {
                    list.schedule(wide), "wide after ones");
   expect_identical(wide_gantt, list_schedule(inst.graph, wide, table),
                    "fresh workspace");
+}
+
+TEST(ListScheduler, RejectsBadAllocationEntriesAndTaskIds) {
+  const fuzz::Instance inst = instances_per_family(1)[0];
+  const arch::Machine m(inst.machine);
+  const cost::CostModel cost(m);
+  const int P = 16;
+  const TaskTimeTable table(inst.graph, cost, P);
+  const int n = inst.graph.num_tasks();
+  ListScheduler list(inst.graph, table);
+  std::vector<int> allocation(static_cast<std::size_t>(n), 1);
+  for (const int bad : {0, -1, P + 1}) {
+    allocation.back() = bad;
+    EXPECT_THROW(list.makespan(allocation), std::out_of_range) << bad;
+    EXPECT_THROW(list.schedule(allocation), std::out_of_range) << bad;
+  }
+  allocation.back() = P;
+  EXPECT_GT(list.makespan(allocation), 0.0);
+  EXPECT_THROW(list.makespan(std::vector<int>(allocation.size() + 1, 1)),
+               std::invalid_argument);
+  // The checked accessor still rejects a bad task id and core count.
+  EXPECT_THROW(table.time(-1, 1), std::out_of_range);
+  EXPECT_THROW(table.time(n, 1), std::out_of_range);
+  EXPECT_THROW(table.time(0, 0), std::out_of_range);
+  EXPECT_THROW(table.time(0, P + 1), std::out_of_range);
+  EXPECT_EQ(table.time(n - 1, P), table.row(n - 1)[P - 1]);
 }
 
 TEST(CprCounters, CountTrialsAndAcceptancesPerCall) {
